@@ -11,8 +11,15 @@
 // per-subsystem attribution table from the embedded "profile" block
 // (DESIGN.md §11).
 //
+// The suite is a ladder from the bottom of the stack up: the simulator's
+// pending set (BM_EventQueueDepth, BM_EventQueueTrialMix), the CPU and pool
+// models (BM_CpuProcessorSharing, BM_PoolAcquireRelease, BM_PoolContended),
+// one trial (BM_TrialEventRate, BM_TraceAttribution) and a sweep
+// (BM_SweepThroughput).
+//
 // Reported per benchmark, beyond wall time:
-//   items_per_second        trials/s (sweep benches) or events/s
+//   items_per_second        trials/s (sweep benches), events/s or
+//                           operations/s (kernel rungs)
 //   events_per_s            simulator dispatch rate
 //   ns_per_event            wall nanoseconds per dispatched event
 //   allocs_per_trial        steady-state operator-new calls per trial
@@ -36,7 +43,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -49,9 +56,14 @@
 #include "exp/config.h"
 #include "exp/experiment.h"
 #include "exp/parallel.h"
+#include "exp/run_context.h"
 #include "exp/sweep.h"
 #include "exp/testbed.h"
+#include "hw/cpu.h"
 #include "obs/profiler.h"
+#include "sim/rng.h"
+#include "sim/simulator.h"
+#include "soft/pool.h"
 
 using namespace softres;
 
@@ -59,8 +71,7 @@ namespace {
 
 exp::TestbedConfig suite_config() {
   exp::TestbedConfig cfg = exp::TestbedConfig::defaults();
-  // 10x demands keep individual trials short without changing the event mix
-  // (same scaling as bench_kernel's BM_SweepThroughput).
+  // 10x demands keep individual trials short without changing the event mix.
   cfg.demands.tomcat_base_s *= 10.0;
   cfg.demands.cjdbc_per_query_s *= 10.0;
   cfg.demands.mysql_per_query_s *= 10.0;
@@ -75,6 +86,123 @@ exp::ExperimentOptions suite_options() {
   opts.keep_series = false;
   return opts;
 }
+
+// Seed-derivation contract: even a kernel rung derives its stream from the
+// bench point's identity (its size in the users slot), never from an ad-hoc
+// literal.
+std::uint64_t kernel_seed(std::size_t size) {
+  return exp::RunContext::derive_seed(1, exp::HardwareConfig{},
+                                      exp::SoftConfig{}, size);
+}
+
+// Pending set under uniform [0, 1) s delays: range(0) events are scheduled,
+// then drained. The 100k point is the adversarial case for the timing wheel
+// (a quarter of the entries share buckets ~25 deep).
+void BM_EventQueueDepth(benchmark::State& state) {
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim::Simulator sim;
+    sim::Rng rng(kernel_seed(depth));  // SOFTRES_LINT_ALLOW(SR004: derived)
+    for (std::size_t i = 0; i < depth; ++i) {
+      sim.schedule(rng.next_double(), [] {});
+    }
+    state.ResumeTiming();
+    sim.run();
+    benchmark::DoNotOptimize(sim.events_executed());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(depth));
+}
+BENCHMARK(BM_EventQueueDepth)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// Pending set under a trial's traffic: ~6k timers standing (think timers,
+// due uniformly over the next 14 s) and each schedule + step pair drawing
+// its delay from the push histogram of serial Fig 4/5 trials (DESIGN.md
+// §9): 15.5 % under 0.1 ms, 69.5 % 0.1-1 ms, 10 % 1-10 ms, 2 % 10-100 ms,
+// 0.3 % 0.1-1 s, 2.7 % 1-14 s, log-uniform within a band.
+void BM_EventQueueTrialMix(benchmark::State& state) {
+  constexpr std::size_t kStanding = 6000;
+  sim::Rng rng(kernel_seed(kStanding));  // SOFTRES_LINT_ALLOW(SR004: derived)
+  const auto band = [&rng](double lo, double hi) {
+    return lo * std::exp(rng.next_double() * std::log(hi / lo));
+  };
+  const auto delay = [&rng, &band] {
+    const double u = rng.next_double();
+    if (u < 0.155) return band(1e-6, 1e-4);
+    if (u < 0.850) return band(1e-4, 1e-3);
+    if (u < 0.950) return band(1e-3, 1e-2);
+    if (u < 0.970) return band(1e-2, 1e-1);
+    if (u < 0.973) return band(1e-1, 1.0);
+    return 1.0 + 13.0 * rng.next_double();
+  };
+  std::vector<double> delays(1 << 16);
+  for (double& d : delays) d = delay();
+  sim::Simulator sim;
+  std::uint64_t fired = 0;
+  const auto fire = [&fired] { ++fired; };
+  for (std::size_t i = 0; i < kStanding; ++i) {
+    sim.schedule(14.0 * rng.next_double(), fire);
+  }
+  for (const double d : delays) {  // warm-up: the near traffic settles
+    sim.schedule(d, fire);
+    sim.step();
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    sim.schedule(delays[next++ & (delays.size() - 1)], fire);
+    sim.step();
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["pending"] = static_cast<double>(sim.events_pending());
+}
+BENCHMARK(BM_EventQueueTrialMix);
+
+// Processor-sharing CPU: range(0) jobs submitted at once, run to completion.
+void BM_CpuProcessorSharing(benchmark::State& state) {
+  const auto concurrency = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim::Simulator sim;
+    hw::Cpu cpu(sim, "c", 1);
+    int done = 0;
+    state.ResumeTiming();
+    for (int i = 0; i < concurrency; ++i) {
+      cpu.submit(0.001 * (i + 1), [&done] { ++done; });
+    }
+    sim.run();
+    benchmark::DoNotOptimize(done);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          concurrency);
+}
+BENCHMARK(BM_CpuProcessorSharing)->Arg(10)->Arg(100)->Arg(500);
+
+// Pool grant fast path: acquire and release with a unit free.
+void BM_PoolAcquireRelease(benchmark::State& state) {
+  sim::Simulator sim;
+  soft::Pool pool(sim, "p", 16);
+  for (auto _ : state) {
+    pool.acquire([] {});
+    pool.release();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PoolAcquireRelease);
+
+// Pool wait path: every acquire queues, and the release admits the waiter.
+void BM_PoolContended(benchmark::State& state) {
+  sim::Simulator sim;
+  soft::Pool pool(sim, "p", 4);
+  for (int i = 0; i < 4; ++i) pool.acquire([] {});
+  for (auto _ : state) {
+    pool.acquire([&pool] { pool.release(); });  // waits, then releases
+    pool.release();                             // admits the waiter
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PoolContended);
 
 // Sweep throughput in trials/s — the headline number. range(0) is the
 // parallel-executor pool size (1 = strictly serial, 0 = all cores).
@@ -253,10 +381,7 @@ int run_profile_pass(const std::string& folded_path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool profile = false;
-  if (const char* env = std::getenv("SOFTRES_PROFILE")) {
-    profile = env[0] == '1';
-  }
+  bool profile = exp::env_flag("SOFTRES_PROFILE");
   std::string profile_out = "profile.folded";
   std::string bench_out;
   std::vector<char*> bench_args;

@@ -76,8 +76,7 @@ struct AllocDelta {
 /// SOFTRES_TRACE_RATE) are interpreted in exactly one place.
 inline exp::ExperimentOptions bench_options() {
   exp::ExperimentOptions opts = exp::ExperimentOptions::from_env();
-  const char* full = std::getenv("SOFTRES_FULL");
-  if (full == nullptr || full[0] != '1') {
+  if (!exp::env_flag("SOFTRES_FULL")) {
     opts.client.ramp_up_s = 20.0;
     opts.client.runtime_s = 60.0;
     opts.client.ramp_down_s = 3.0;

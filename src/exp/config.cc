@@ -1,7 +1,9 @@
 #include "exp/config.h"
 
 #include <charconv>
+#include <cstdlib>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 namespace softres::exp {
@@ -90,6 +92,53 @@ TestbedConfig TestbedConfig::defaults() {
   // matching the paper's Fig 5(c) ratio.
   cfg.cjdbc_jvm.pause_per_thread_s = 1.2e-5;
   return cfg;
+}
+
+namespace {
+
+[[noreturn]] void reject_env(const char* name, std::string_view value,
+                             const std::string& expected) {
+  throw std::invalid_argument(std::string(name) + " must be " + expected +
+                              ", got \"" + std::string(value) + "\"");
+}
+
+}  // namespace
+
+bool env_flag(const char* name) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr) return false;
+  const std::string_view value(raw);
+  if (value != "0" && value != "1") reject_env(name, value, "0 or 1");
+  return value == "1";
+}
+
+std::optional<std::uint64_t> env_uint(const char* name, std::uint64_t min) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr) return std::nullopt;
+  const std::string_view value(raw);
+  std::uint64_t out = 0;
+  const auto [ptr, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), out);
+  if (ec != std::errc() || ptr != value.data() + value.size() || out < min) {
+    reject_env(name, value,
+               "a decimal integer from " + std::to_string(min) +
+                   " below 2^64");
+  }
+  return out;
+}
+
+std::optional<double> env_fraction(const char* name) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr) return std::nullopt;
+  const std::string_view value(raw);
+  double out = 0.0;
+  const auto [ptr, ec] =
+      std::from_chars(value.data(), value.data() + value.size(), out);
+  if (ec != std::errc() || ptr != value.data() + value.size() ||
+      !(out >= 0.0 && out <= 1.0)) {
+    reject_env(name, value, "a number in [0, 1]");
+  }
+  return out;
 }
 
 }  // namespace softres::exp

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
 
 #include "hw/node.h"
@@ -67,5 +69,17 @@ struct TestbedConfig {
   /// Returns the paper's default testbed (1 core per node, calibrated JVMs).
   static TestbedConfig defaults();
 };
+
+/// SOFTRES_* environment switches, each value parsed in full. All return
+/// "not set" for an unset variable and throw std::invalid_argument naming the
+/// variable for a malformed or out-of-range value — including the empty
+/// string, leading signs, whitespace and trailing characters.
+///
+/// env_flag: "1" is on, "0" (or unset) is off.
+bool env_flag(const char* name);
+/// env_uint: a decimal integer in [min, 2^64).
+std::optional<std::uint64_t> env_uint(const char* name, std::uint64_t min = 0);
+/// env_fraction: a number in [0, 1] (decimal or scientific notation).
+std::optional<double> env_fraction(const char* name);
 
 }  // namespace softres::exp

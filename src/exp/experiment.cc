@@ -14,27 +14,24 @@ namespace softres::exp {
 
 ExperimentOptions ExperimentOptions::from_env() {
   ExperimentOptions opts;
-  const char* full = std::getenv("SOFTRES_FULL");
-  if (full != nullptr && full[0] == '1') {
+  if (env_flag("SOFTRES_FULL")) {
     opts.client.ramp_up_s = 480.0;   // 8 minutes
     opts.client.runtime_s = 720.0;   // 12 minutes
     opts.client.ramp_down_s = 30.0;
   }
-  if (const char* rate = std::getenv("SOFTRES_TRACE_RATE")) {
-    opts.client.trace_sample_rate = std::atof(rate);
+  if (const auto rate = env_fraction("SOFTRES_TRACE_RATE")) {
+    opts.client.trace_sample_rate = *rate;
   }
   // Base seed of the seed-derivation chain: every trial stream hashes off
   // this via RunContext::derive_seed, so one env switch re-seeds every bench
   // and example without touching the per-trial identity hashing.
-  if (const char* seed = std::getenv("SOFTRES_SEED")) {
-    opts.client.seed = std::strtoull(seed, nullptr, 10);
+  if (const auto seed = env_uint("SOFTRES_SEED")) {
+    opts.client.seed = *seed;
   }
   if (const char* report = std::getenv("SOFTRES_REPORT_HTML")) {
     opts.report_html = report;
   }
-  if (const char* profile = std::getenv("SOFTRES_PROFILE")) {
-    opts.profile = profile[0] == '1';
-  }
+  opts.profile = env_flag("SOFTRES_PROFILE");
   return opts;
 }
 

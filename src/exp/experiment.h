@@ -57,6 +57,9 @@ struct ExperimentOptions {
   /// SOFTRES_REPORT_HTML.
   std::string report_html;
 
+  /// Reads SOFTRES_FULL, SOFTRES_TRACE_RATE, SOFTRES_SEED,
+  /// SOFTRES_REPORT_HTML and SOFTRES_PROFILE; throws std::invalid_argument
+  /// naming the variable when a value is malformed (exp::env_flag et al.).
   static ExperimentOptions from_env();
 };
 

@@ -1,13 +1,12 @@
 #include "exp/parallel.h"
 
-#include <cstdlib>
+#include "exp/config.h"
 
 namespace softres::exp {
 
 std::size_t ParallelExecutor::default_jobs() {
-  if (const char* env = std::getenv("SOFTRES_JOBS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<std::size_t>(v);
+  if (const auto jobs = env_uint("SOFTRES_JOBS", 1)) {
+    return static_cast<std::size_t>(*jobs);
   }
   const unsigned hc = std::thread::hardware_concurrency();
   return hc >= 1 ? hc : 1;

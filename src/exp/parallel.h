@@ -40,8 +40,8 @@ class ParallelExecutor {
 
   std::size_t jobs() const { return jobs_; }
 
-  /// SOFTRES_JOBS if set to a positive integer, else
-  /// hardware_concurrency() (>= 1).
+  /// SOFTRES_JOBS if set, else hardware_concurrency() (>= 1). Throws
+  /// std::invalid_argument unless SOFTRES_JOBS is a positive integer.
   static std::size_t default_jobs();
 
   /// Run one job asynchronously (inline when jobs() == 1, which makes the

@@ -6,34 +6,43 @@
 #include <vector>
 
 #include "sim/sim_time.h"
-#include "support/prof.h"
 
 namespace softres::sim {
 
-/// Pending-event priority queue of the discrete-event engine: a four-ary
-/// implicit min-heap of (time, key) entries ordered by (time, key), with
-/// the current minimum cached outside the array.
+/// Four-ary implicit min-heap of (time, key) entries ordered by (time, key),
+/// with the current minimum cached outside the array. It is the CPU model's
+/// run queue and, inside sim::PendingSet, both the far set (events beyond the
+/// timing wheel's horizon) and the heap the wheel drains its current bucket
+/// into.
 ///
 /// The key's low kIndexBits are an owner-assigned record index, and the
 /// queue maintains a dense index -> heap-position map (`pos_`) keyed on
 /// them. That map is what makes cancellation and rescheduling *eager*:
 /// update() re-keys an entry in place with a single sift, erase() removes
 /// one outright, and no stale entry ever reaches pop(). The map is a flat
-/// uint32 array off to the side, so maintaining it costs one L1 store per
+/// uint32 array off to the side, so maintaining it costs one store per
 /// entry move and heap maintenance still never dereferences a record. (The
 /// owner must keep at most one entry per index in the queue for pos_ to be
-/// authoritative; the simulator's one-entry-per-record invariant and the
+/// authoritative; PendingSet's one-entry-per-record invariant and the
 /// CPU's one-entry-per-slot run queue both satisfy this. An owner that
 /// never calls update()/erase() may ignore the rule — stale positions are
 /// then never read.)
 ///
-/// Layout notes (measured on BM_TestbedTrial, see DESIGN.md §9):
+/// The map is the queue's own unless the owner passes one in: PendingSet
+/// hands its two heaps one shared map, which it also uses for the entries
+/// it keeps elsewhere, so a record costs one map word however many queues
+/// it passes through. Sharing needs every index in at most one queue at a
+/// time; contains() then tells which one holds it, and for an index none
+/// of them holds the owner may keep a value of its own in the map.
+///
+/// Layout notes (DESIGN.md §9):
 ///  * An entry is 16 bytes: the time plus one `key` word that packs the
 ///    schedule sequence number (high bits) over the record index (low
 ///    bits). Sifts touch only the flat entry array plus the pos_ array,
-///    and an aligned group of four siblings is exactly one cache line —
-///    the array for a few thousand pending events stays L1-resident,
-///    which is what the 24-byte (time, seq, pointer) layout lost.
+///    and an aligned group of four siblings is exactly one cache line, so
+///    each level of a sift reads one line. (At the 5-7k entries a loaded
+///    trial keeps pending, the 80-110 KB array is L2-, not L1-resident —
+///    the reason PendingSet keeps near-term traffic off this heap.)
 ///  * Arity 4 halves the tree height of a binary heap, and ~3/4 of the
 ///    nodes are leaves, so a pushed entry usually settles after a single
 ///    parent comparison.
@@ -49,6 +58,9 @@ namespace softres::sim {
 /// Ties on `time` break by `key`; because the sequence number occupies the
 /// key's high bits and is unique per push, key order *is* schedule order,
 /// which is what gives the simulator its FIFO same-instant guarantee.
+///
+/// The queue carries no profiler scopes: the simulator's scheduling cost is
+/// charged at PendingSet's operations, and the run queue's to the CPU model.
 class EventQueue {
  public:
   /// Low bits of Entry::key that address the owner's record slab; the
@@ -58,13 +70,39 @@ class EventQueue {
   static constexpr unsigned kIndexBits = 24;
   static constexpr std::uint64_t kIndexMask = (1ull << kIndexBits) - 1;
 
+  /// The position map's value for the cached top (not a heap slot).
+  static constexpr std::uint32_t kTopPos = 0xFFFFFFFFu;
+
   struct Entry {
     SimTime time = 0.0;
     std::uint64_t key = 0;  // (seq << kIndexBits) | record index
   };
 
+  EventQueue() : pos_(own_pos_) {}
+  /// Keep positions in `positions` (shared with other queues) instead.
+  explicit EventQueue(std::vector<std::uint32_t>& positions)
+      : pos_(positions) {}
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+
+  /// The queue's order: time, then key (schedule order on ties).
+  static bool before(const Entry& a, const Entry& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.key < b.key;
+  }
+
   bool empty() const { return !has_top_; }
   std::size_t size() const { return heap_.size() + (has_top_ ? 1u : 0u); }
+  void reserve(std::size_t n) { heap_.reserve(n); }
+
+  /// Whether this queue holds the entry with index `idx`; exact even when
+  /// the map is shared, since an index lives in at most one queue.
+  bool contains(std::uint32_t idx) const {
+    if (idx >= pos_.size()) return false;
+    const std::uint32_t p = pos_[idx];
+    if (p == kTopPos) return has_top_ && (top_.key & kIndexMask) == idx;
+    return p < heap_.size() && (heap_[p].key & kIndexMask) == idx;
+  }
 
   const Entry& top() const {
     assert(has_top_);
@@ -72,7 +110,6 @@ class EventQueue {
   }
 
   void push(const Entry& e) {
-    SOFTRES_PROF_SCOPE(kEventQueuePush);
     const std::uint32_t idx = static_cast<std::uint32_t>(e.key & kIndexMask);
     if (idx >= pos_.size()) pos_.resize(idx + 1, 0);
     if (!has_top_) {
@@ -91,7 +128,6 @@ class EventQueue {
   }
 
   Entry pop() {
-    SOFTRES_PROF_SCOPE(kEventQueuePop);
     assert(has_top_);
     const Entry out = top_;
     if (heap_.empty()) {
@@ -107,7 +143,6 @@ class EventQueue {
   /// seq) with a single in-place sift. Precondition: exactly one entry with
   /// that index is in the queue (the owner's pending flag guards this).
   void update(std::uint32_t idx, const Entry& e) {
-    SOFTRES_PROF_SCOPE(kEventQueueCancel);
     assert((e.key & kIndexMask) == idx && idx < pos_.size());
     const std::uint32_t p = pos_[idx];
     if (p == kTopPos) {
@@ -136,7 +171,6 @@ class EventQueue {
 
   /// Remove the entry whose index is `idx`. Same precondition as update().
   void erase(std::uint32_t idx) {
-    SOFTRES_PROF_SCOPE(kEventQueueCancel);
     assert(idx < pos_.size());
     const std::uint32_t p = pos_[idx];
     if (p == kTopPos) {
@@ -155,19 +189,8 @@ class EventQueue {
     if (p < heap_.size()) sift_from(p, last);  // else: erased the tail entry
   }
 
-  void clear() {
-    heap_.clear();
-    has_top_ = false;
-  }
-
  private:
   static constexpr std::size_t kArity = 4;
-  static constexpr std::uint32_t kTopPos = 0xFFFFFFFFu;
-
-  static bool before(const Entry& a, const Entry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.key < b.key;
-  }
 
   void place(const Entry& e, std::size_t i) {
     heap_[i] = e;
@@ -255,7 +278,8 @@ class EventQueue {
   std::vector<Entry> heap_;
   // index -> heap position (kTopPos for the cached top). Authoritative only
   // while that index has an entry in the queue; garbage otherwise.
-  std::vector<std::uint32_t> pos_;
+  std::vector<std::uint32_t> own_pos_;
+  std::vector<std::uint32_t>& pos_;
 };
 
 }  // namespace softres::sim

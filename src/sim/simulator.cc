@@ -10,8 +10,8 @@ bool Simulator::cancel(EventHandle h) {
   // Generation mismatch = the record was recycled since this handle was
   // issued (possibly several times); the handle is stale regardless of what
   // currently occupies the slot. live_seq == 0 = this scheduling already
-  // fired or was cancelled. Cancellation is eager: the queue entry is
-  // erased via the index->position map and the record recycles immediately
+  // fired or was cancelled. Cancellation is eager: the pending entry is
+  // erased through the set's index maps and the record recycles immediately
   // (the generation bump retires every outstanding handle to it).
   if (r->gen != h.gen_ || r->live_seq == 0) return false;
   queue_.erase(r->idx);
@@ -29,9 +29,8 @@ bool Simulator::reschedule_at(EventHandle h, SimTime t) {
   auto* r = static_cast<Record*>(h.record_);
   if (r->gen != h.gen_ || r->live_seq == 0) return false;
   // Re-key the record's one pending entry in place — no callback move, no
-  // record churn, no superseded entry left behind; the heap sift is a level
-  // or two since due times only drift. Fresh seq: the moved event fires in
-  // FIFO order as if scheduled now.
+  // record churn, no superseded entry left behind. Fresh seq: the moved
+  // event fires in FIFO order as if scheduled now.
   const std::uint64_t seq = next_seq_++;
   assert(seq < (std::uint64_t{1} << (64 - kIdxBits)));
   r->live_seq = seq;
@@ -52,8 +51,8 @@ void Simulator::run(std::uint64_t limit) {
 }
 
 void Simulator::run_until(SimTime t) {
-  // The cached top bounds every pending entry (heap minimum), so stopping
-  // at the first top with time > t is exact.
+  // top() is the earliest pending entry, so stopping at the first one with
+  // time > t is exact.
   while (!queue_.empty() && queue_.top().time <= t) {
     dispatch(queue_.pop());
   }

@@ -6,8 +6,8 @@
 #include <utility>
 #include <vector>
 
-#include "sim/event_queue.h"
 #include "sim/inline_callback.h"
+#include "sim/pending_set.h"
 #include "sim/sim_time.h"
 
 namespace softres::sim {
@@ -30,7 +30,7 @@ class EventHandle {
   std::uint64_t gen_ = 0;
 };
 
-/// Discrete-event simulation engine: a clock plus a pending-event heap.
+/// Discrete-event simulation engine: a clock plus a pending-event set.
 ///
 /// All model components (CPUs, pools, servers, clients) are callback state
 /// machines driven by this single engine; the engine itself is strictly
@@ -40,17 +40,18 @@ class EventHandle {
 ///
 /// Hot-path layout (DESIGN.md §9): callbacks are sim::InlineCallback, so
 /// small captures ride inside the event record with no allocation; the
-/// pending set is a four-ary heap of (time, seq, record) entries whose keys
-/// live inline, so heap maintenance never dereferences a record; records
-/// live in a deque-backed freelist, so a steady-state trial stops asking
-/// the allocator for anything. Cancellation and rescheduling are *eager*:
-/// each record owns exactly one queue entry while pending, reschedule()
-/// re-keys it in place (one sift, via the queue's index->position map) and
-/// cancel() erases it outright, so every popped entry dispatches — there
-/// are no stale entries to drain. This matters because the CPU model
-/// re-aims its completion timer on every arrival: under the older lazy
-/// scheme those re-aims left a superseded entry behind each time, and the
-/// stale drains grew to ~a third of all heap pops.
+/// pending set (sim::PendingSet) is a timing wheel for the sub-second
+/// traffic plus a four-ary heap for far timers, over 16-byte (time, seq |
+/// record) entries whose keys live inline, so queue maintenance never
+/// dereferences a record; records live in a deque-backed freelist, so a
+/// steady-state trial stops asking the allocator for anything.
+/// Cancellation and rescheduling are *eager*: each record owns exactly one
+/// pending entry, reschedule() re-keys it in place and cancel() erases it
+/// outright (both found through the set's index maps), so every popped
+/// entry dispatches — there are no stale entries to drain. This matters
+/// because the CPU model re-aims its completion timer on every arrival:
+/// under the older lazy scheme those re-aims left a superseded entry behind
+/// each time, and the stale drains grew to ~a third of all heap pops.
 class Simulator {
  public:
   using Callback = InlineCallback;
@@ -75,8 +76,8 @@ class Simulator {
 
   /// Move a pending event to fire `delay` seconds from now, keeping its
   /// callback and handle (the handle stays valid under the same generation).
-  /// The event is re-keyed in place in the heap — no cancel + schedule round
-  /// trip, no callback move. It fires in FIFO order as if freshly scheduled
+  /// The event is re-keyed in place in the pending set — no cancel +
+  /// schedule round trip, no callback move. It fires in FIFO order as if freshly scheduled
   /// at its new instant. Safe with stale or inert handles; returns true iff
   /// the event was pending and has been moved.
   bool reschedule(EventHandle h, SimTime delay);
@@ -105,21 +106,21 @@ class Simulator {
   };
 
   // Queue entries pack (seq << kIdxBits) | record-index into one 64-bit key
-  // following EventQueue's layout contract (the queue's index->position map
-  // reads the low bits). Seq in the high bits makes key order equal schedule
+  // following EventQueue's layout contract (the pending set's index maps
+  // read the low bits). Seq in the high bits makes key order equal schedule
   // order, preserving the FIFO same-instant guarantee through a plain
   // integer compare.
-  static constexpr unsigned kIdxBits = EventQueue::kIndexBits;
-  static constexpr std::uint64_t kIdxMask = EventQueue::kIndexMask;
+  static constexpr unsigned kIdxBits = PendingSet::kIndexBits;
+  static constexpr std::uint64_t kIdxMask = PendingSet::kIndexMask;
 
   Record* allocate();
   void release(Record* r);
-  void dispatch(const EventQueue::Entry& e);
+  void dispatch(const PendingSet::Entry& e);
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  EventQueue queue_;
+  PendingSet queue_;
   std::vector<Record*> freelist_;
   std::vector<Record*> slots_;  // idx -> record, L1-hot on the pop path
   std::deque<Record> records_;  // stable storage; grows, never shrinks
@@ -166,7 +167,7 @@ inline EventHandle Simulator::schedule_at(SimTime t, Callback fn) {
   return EventHandle(r, r->gen);
 }
 
-inline void Simulator::dispatch(const EventQueue::Entry& e) {
+inline void Simulator::dispatch(const PendingSet::Entry& e) {
   SOFTRES_PROF_SCOPE(kDispatch);
   Record* r = slots_[e.key & kIdxMask];
   // Eager cancel/reschedule means every popped entry is the live claim.

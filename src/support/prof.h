@@ -38,9 +38,9 @@ namespace softres::prof {
 /// The attributed subsystems. Order is the rendering order; names live in
 /// subsystem_name(). Keep in sync with obs/profiler.cc and DESIGN.md §11.
 enum class Subsystem : std::uint8_t {
-  kEventQueuePush = 0,  // EventQueue::push
-  kEventQueuePop,       // EventQueue::pop
-  kEventQueueCancel,    // EventQueue::update / erase (eager re-key + cancel)
+  kEventQueuePush = 0,  // PendingSet::push (the simulator's pending set)
+  kEventQueuePop,       // PendingSet::pop
+  kEventQueueCancel,    // PendingSet::update / erase (eager re-key + cancel)
   kDispatch,            // Simulator::dispatch (InlineCallback invocation)
   kDistSample,          // distribution sampling (fast_exponential et al.)
   kPoolService,         // soft::Pool acquire/release/grant
@@ -185,7 +185,7 @@ inline void count(Subsystem sub) {
 class ScopeTimer {
  public:
   // The unprofiled path must stay tiny AND stay out of the inliner's way:
-  // the hot sites (EventQueue::push/pop, fast_exponential, Cpu::submit)
+  // the hot sites (PendingSet::push/pop, fast_exponential, Cpu::submit)
   // were deliberately made inline-everywhere in the PR-4 optimization, and
   // inlining the full enter/leave bodies there bloats them past inline
   // limits — a measured >20% whole-sim regression with profiling OFF. So

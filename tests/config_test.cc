@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+
 #include <stdexcept>
+#include <string>
+
+#include "exp/experiment.h"
 
 namespace softres::exp {
 namespace {
@@ -61,6 +66,76 @@ TEST(TestbedConfigTest, DefaultsAreSane) {
   EXPECT_GT(cfg.link_bandwidth_Bps, 1e8);
   EXPECT_GT(cfg.tomcat_alloc_per_request_mb, 0.0);
   EXPECT_GT(cfg.cjdbc_alloc_per_query_mb, 0.0);
+}
+
+// Sets one environment variable for the scope of a test case.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() { ::unsetenv(name_); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+};
+
+// The message must name the variable, so a user sees which switch is wrong.
+void expect_rejected(const char* name, const char* value) {
+  const ScopedEnv env(name, value);
+  try {
+    (void)ExperimentOptions::from_env();
+    ADD_FAILURE() << name << "=\"" << value << "\" was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+  }
+}
+
+TEST(EnvSwitchTest, ParsesWellFormedValues) {
+  {
+    const ScopedEnv seed("SOFTRES_SEED", "18446744073709551615");
+    const ScopedEnv rate("SOFTRES_TRACE_RATE", "5e-2");
+    const ScopedEnv full("SOFTRES_FULL", "1");
+    const ScopedEnv profile("SOFTRES_PROFILE", "0");
+    const ExperimentOptions opts = ExperimentOptions::from_env();
+    EXPECT_EQ(opts.client.seed, 18446744073709551615ull);
+    EXPECT_DOUBLE_EQ(opts.client.trace_sample_rate, 0.05);
+    EXPECT_DOUBLE_EQ(opts.client.runtime_s, 720.0);
+    EXPECT_FALSE(opts.profile);
+  }
+  {
+    const ScopedEnv rate("SOFTRES_TRACE_RATE", "1");
+    const ScopedEnv profile("SOFTRES_PROFILE", "1");
+    const ExperimentOptions opts = ExperimentOptions::from_env();
+    EXPECT_DOUBLE_EQ(opts.client.trace_sample_rate, 1.0);
+    EXPECT_TRUE(opts.profile);
+  }
+  EXPECT_FALSE(env_flag("SOFTRES_FULL"));
+  EXPECT_FALSE(env_uint("SOFTRES_SEED").has_value());
+  EXPECT_FALSE(env_fraction("SOFTRES_TRACE_RATE").has_value());
+}
+
+TEST(EnvSwitchTest, RejectsMalformedSeed) {
+  for (const char* v : {"-1", "42abc", "", " 42", "+42", "0x2a", "4.2",
+                        "18446744073709551616"}) {
+    expect_rejected("SOFTRES_SEED", v);
+  }
+}
+
+TEST(EnvSwitchTest, RejectsMalformedOrOutOfRangeTraceRate) {
+  for (const char* v : {"abc", "", "0.5x", "1.5", "-0.1", "nan", "inf",
+                        " 0.1"}) {
+    expect_rejected("SOFTRES_TRACE_RATE", v);
+  }
+}
+
+TEST(EnvSwitchTest, RejectsFlagsOtherThanZeroOrOne) {
+  for (const char* v : {"10", "1abc", "yes", "", "2", " 1"}) {
+    expect_rejected("SOFTRES_FULL", v);
+    expect_rejected("SOFTRES_PROFILE", v);
+  }
 }
 
 }  // namespace

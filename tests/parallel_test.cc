@@ -106,14 +106,25 @@ TEST(ParallelExecutorTest, DefaultJobsHonoursEnvironment) {
   EXPECT_EQ(ParallelExecutor::default_jobs(), 3u);
   EXPECT_EQ(ParallelExecutor(0).jobs(), 3u);
 
-  // Garbage and non-positive values fall through to hardware_concurrency.
-  ::setenv("SOFTRES_JOBS", "0", 1);
-  EXPECT_GE(ParallelExecutor::default_jobs(), 1u);
-  ::setenv("SOFTRES_JOBS", "not-a-number", 1);
-  EXPECT_GE(ParallelExecutor::default_jobs(), 1u);
-
   ::unsetenv("SOFTRES_JOBS");
   EXPECT_GE(ParallelExecutor::default_jobs(), 1u);
+}
+
+TEST(ParallelExecutorTest, DefaultJobsRejectsMalformedEnvironment) {
+  // Zero, garbage and trailing characters are errors naming the variable,
+  // not a silent fall-back to every core (or to the leading digits).
+  for (const char* v : {"0", "not-a-number", "4x", "-2", "", " 4"}) {
+    ::setenv("SOFTRES_JOBS", v, 1);
+    try {
+      (void)ParallelExecutor::default_jobs();
+      ADD_FAILURE() << "SOFTRES_JOBS=\"" << v << "\" was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("SOFTRES_JOBS"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(ParallelExecutor(0), std::invalid_argument) << v;
+  }
+  ::unsetenv("SOFTRES_JOBS");
 }
 
 TEST(ParallelExecutorTest, ExplicitJobsBeatsEnvironment) {
