@@ -4,16 +4,27 @@
 
 #include <cmath>
 #include <memory>
-#include <tuple>
+#include <ostream>
+#include <string>
 
 namespace softres::sim {
 namespace {
 
+struct DistributionCase {
+  const char* name;
+  DistributionPtr dist;
+  double tolerance;
+};
+
+// gtest writes the printed parameter into every discovered ctest name. The
+// default printer would write the string and heap addresses, which move with
+// each build and run, so print the case name only.
+void PrintTo(const DistributionCase& c, std::ostream* os) { *os << c.name; }
+
 // Property: every distribution's sample mean converges to its analytical
 // mean() and samples stay non-negative.
 class DistributionMeanTest
-    : public ::testing::TestWithParam<std::tuple<const char*, DistributionPtr,
-                                                 double>> {};
+    : public ::testing::TestWithParam<DistributionCase> {};
 
 TEST_P(DistributionMeanTest, SampleMeanMatchesAnalyticalMean) {
   const auto& [name, dist, tolerance] = GetParam();
@@ -33,14 +44,14 @@ TEST_P(DistributionMeanTest, SampleMeanMatchesAnalyticalMean) {
 INSTANTIATE_TEST_SUITE_P(
     AllDistributions, DistributionMeanTest,
     ::testing::Values(
-        std::make_tuple("constant", constant(0.42), 1e-12),
-        std::make_tuple("exponential", exponential(3.0), 0.02),
-        std::make_tuple("uniform", uniform(1.0, 5.0), 0.02),
-        std::make_tuple("lognormal", lognormal(0.1, 0.5), 0.03),
-        std::make_tuple("shifted_exp", shifted_exp(1.0, 2.0), 0.02),
-        std::make_tuple("bounded_pareto", bounded_pareto(0.01, 10.0, 1.5),
-                        0.05)),
-    [](const auto& param_info) { return std::get<0>(param_info.param); });
+        DistributionCase{"constant", constant(0.42), 1e-12},
+        DistributionCase{"exponential", exponential(3.0), 0.02},
+        DistributionCase{"uniform", uniform(1.0, 5.0), 0.02},
+        DistributionCase{"lognormal", lognormal(0.1, 0.5), 0.03},
+        DistributionCase{"shifted_exp", shifted_exp(1.0, 2.0), 0.02},
+        DistributionCase{"bounded_pareto", bounded_pareto(0.01, 10.0, 1.5),
+                         0.05}),
+    [](const auto& param_info) { return std::string(param_info.param.name); });
 
 TEST(DeterministicTest, AlwaysReturnsValue) {
   Deterministic d(1.5);
