@@ -4,7 +4,6 @@
 // utilization density that reveals the hidden soft bottleneck.
 
 #include "bench_util.h"
-#include "soft/pool_monitor.h"
 
 using namespace softres;
 

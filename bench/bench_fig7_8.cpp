@@ -16,10 +16,8 @@ using namespace softres;
 
 namespace {
 
-// The timeline series now come out of the unified obs::Registry (the legacy
-// dotted names are registry aliases); the end-of-run snapshot additionally
-// exports every metric as Prometheus text / flat CSV when SOFTRES_CSV_DIR is
-// set.
+// The end-of-run registry snapshot exports every metric as Prometheus text /
+// flat CSV when SOFTRES_CSV_DIR is set.
 void maybe_export_snapshot(const exp::RunResult& r, const std::string& stem) {
   const std::string dir = metrics::csv_dir_from_env();
   if (dir.empty()) return;
@@ -36,16 +34,21 @@ void maybe_export_snapshot(const exp::RunResult& r, const std::string& stem) {
 }
 
 void print_timeline(const exp::RunResult& r, double from, double to) {
-  const auto* processed = r.find_series("apache0.processed");
-  const auto* pt_total = r.find_series("apache0.pt_total_ms");
-  const auto* pt_tomcat = r.find_series("apache0.pt_tomcat_ms");
-  const auto* active = r.find_series("apache0.threads_active");
-  const auto* connecting = r.find_series("apache0.threads_connecting");
+  const obs::Timeline& tl = r.series;
+  const obs::Labels apache0 = {{"server", "apache0"}};
+  const obs::Series* processed =
+      r.find_series("apache_processed_requests", apache0);
+  const obs::Series* pt_total = r.find_series("apache_worker_busy_ms", apache0);
+  const obs::Series* pt_tomcat =
+      r.find_series("apache_tomcat_interaction_ms", apache0);
+  const obs::Series* active = r.find_series("apache_threads_active", apache0);
+  const obs::Series* connecting =
+      r.find_series("apache_threads_connecting", apache0);
 
   metrics::Table t({"t", "req/s", "PT_total_ms", "PT_tomcat_ms",
                     "threads_active", "threads_tomcat"});
-  for (std::size_t i = 0; i < processed->size(); ++i) {
-    const double time = processed->times[i];
+  for (std::size_t i = 0; i < tl.ticks(); ++i) {
+    const double time = tl.times()[i];
     if (time < from || time >= to) continue;
     if (static_cast<long>(time - from) % 5 != 0) continue;  // every 5 s
     t.add_row({metrics::Table::fmt(time - from, 0),
@@ -58,17 +61,14 @@ void print_timeline(const exp::RunResult& r, double from, double to) {
   t.print(std::cout);
 
   // Window aggregates (the quantities the paper's prose cites).
-  std::cout << "window means: req/s="
-            << metrics::Table::fmt(processed->mean_between(from, to), 1)
-            << "  PT_total=" << metrics::Table::fmt(
-                   pt_total->mean_between(from, to), 1)
-            << " ms  PT_tomcat=" << metrics::Table::fmt(
-                   pt_tomcat->mean_between(from, to), 1)
-            << " ms  active=" << metrics::Table::fmt(
-                   active->mean_between(from, to), 1)
-            << "  interacting=" << metrics::Table::fmt(
-                   connecting->mean_between(from, to), 1)
-            << "\n";
+  auto mean = [&](const obs::Series* s, int precision) {
+    return metrics::Table::fmt(tl.mean_between(*s, from, to), precision);
+  };
+  std::cout << "window means: req/s=" << mean(processed, 1)
+            << "  PT_total=" << mean(pt_total, 1)
+            << " ms  PT_tomcat=" << mean(pt_tomcat, 1)
+            << " ms  active=" << mean(active, 1)
+            << "  interacting=" << mean(connecting, 1) << "\n";
 }
 
 }  // namespace

@@ -83,7 +83,6 @@ exp::ExperimentOptions suite_options() {
   opts.client.ramp_up_s = 5.0;
   opts.client.runtime_s = 20.0;
   opts.client.ramp_down_s = 2.0;
-  opts.keep_series = false;
   return opts;
 }
 

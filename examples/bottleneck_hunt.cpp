@@ -67,10 +67,11 @@ void diagnose(const exp::Experiment& experiment, const exp::SoftConfig& soft,
   }
 
   // Utilization density of the suspect pool (the Fig 4 analysis).
-  const sim::TimeSeries* series = r.find_series("tomcat0.threads.util");
+  const obs::Series* series =
+      r.find_series("pool_util_pct", {{"pool", "tomcat0.threads"}});
   if (series != nullptr && !series->values.empty()) {
-    const sim::Histogram density = soft::utilization_density(
-        *series, series->times.front(), series->times.back() + 1.0, 10);
+    const sim::Histogram density =
+        soft::utilization_density(series->values, 10);
     std::cout << "tomcat0 thread-pool occupancy density: ";
     for (std::size_t b = 0; b < density.bins(); ++b) {
       std::cout << "[" << static_cast<int>(density.bin_lo(b)) << "-"

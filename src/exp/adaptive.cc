@@ -31,8 +31,7 @@ void AdaptiveTuner::start() {
         "tuner_target",
         [tp](sim::SimTime) { return tp->last_target; },
         {{"pool", t.pool->name()}},
-        "Most recent capacity target computed for this pool",
-        t.pool->name() + ".tuner_target");
+        "Most recent capacity target computed for this pool");
   }
   bed_.simulator().schedule(config_.sample_interval_s, [this] { sample(); });
   bed_.simulator().schedule(config_.control_interval_s, [this] { control(); });

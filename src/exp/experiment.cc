@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "exp/run_context.h"
@@ -59,11 +60,9 @@ std::vector<std::string> RunResult::saturated_soft() const {
   return out;
 }
 
-const sim::TimeSeries* RunResult::find_series(const std::string& name) const {
-  for (const auto& s : series) {
-    if (s.name == name) return &s;
-  }
-  return nullptr;
+const obs::Series* RunResult::find_series(const std::string& family,
+                                          const obs::Labels& labels) const {
+  return series.find_series(family, labels);
 }
 
 const CpuStat* RunResult::find_cpu(const std::string& name) const {
@@ -100,30 +99,34 @@ Experiment::Experiment(TestbedConfig base, ExperimentOptions opts)
 namespace {
 
 CpuStat condense_cpu(const Testbed& bed, const std::string& node_name) {
+  const obs::Timeline& tl = bed.timeline();
   const sim::SimTime lo = bed.measure_start();
   const sim::SimTime hi = bed.measure_end();
+  const obs::Labels node = {{"node", node_name}};
   CpuStat stat;
   stat.name = node_name + ".cpu";
-  const sim::TimeSeries* util = bed.sampler().find(stat.name);
-  if (util != nullptr) stat.util_pct = util->mean_between(lo, hi);
-  const sim::TimeSeries* gc = bed.sampler().find(node_name + ".gc");
-  if (gc != nullptr) stat.gc_util_pct = gc->mean_between(lo, hi);
+  if (const obs::Series* util = tl.find_series("cpu_util_pct", node)) {
+    stat.util_pct = tl.mean_between(*util, lo, hi);
+  }
+  if (const obs::Series* gc = tl.find_series("gc_util_pct", node)) {
+    stat.gc_util_pct = tl.mean_between(*gc, lo, hi);
+  }
   stat.saturated = stat.util_pct >= kCpuSaturationPct;
   return stat;
 }
 
-PoolStat condense_pool(const Testbed& bed, const soft::Pool& pool,
-                       const std::string& series_name) {
+PoolStat condense_pool(const Testbed& bed, const soft::Pool& pool) {
+  const obs::Timeline& tl = bed.timeline();
   const sim::SimTime lo = bed.measure_start();
   const sim::SimTime hi = bed.measure_end();
   PoolStat stat;
   stat.name = pool.name();
   stat.capacity = pool.capacity();
   stat.mean_wait_ms = 1000.0 * pool.mean_wait_time();
-  const sim::TimeSeries* util = bed.sampler().find(series_name);
-  if (util != nullptr) {
-    stat.util_pct = util->mean_between(lo, hi);
-    stat.saturated = soft::is_saturated(*util, lo, hi);
+  if (const obs::Series* util =
+          tl.find_series("pool_util_pct", {{"pool", pool.name()}})) {
+    stat.util_pct = tl.mean_between(*util, lo, hi);
+    stat.saturated = soft::is_saturated(tl.window(*util, lo, hi));
   }
   return stat;
 }
@@ -205,8 +208,7 @@ RunResult Experiment::run(const SoftConfig& soft, std::size_t users) const {
     r.cpus.push_back(condense_cpu(bed, node->name()));
   }
   for (const auto& a : bed.apaches()) {
-    PoolStat workers =
-        condense_pool(bed, a->worker_pool(), a->name() + ".workers.util");
+    PoolStat workers = condense_pool(bed, a->worker_pool());
     r.pools.push_back(workers);
     // For the web tier the operational "RTT" is the worker busy time
     // (response path + FIN wait) and the concurrency is worker occupancy:
@@ -218,10 +220,8 @@ RunResult Experiment::run(const SoftConfig& soft, std::size_t users) const {
     r.servers.push_back(ops);
   }
   for (const auto& t : bed.tomcats()) {
-    r.pools.push_back(
-        condense_pool(bed, t->thread_pool(), t->name() + ".threads.util"));
-    r.pools.push_back(
-        condense_pool(bed, t->connection_pool(), t->name() + ".dbconns.util"));
+    r.pools.push_back(condense_pool(bed, t->thread_pool()));
+    r.pools.push_back(condense_pool(bed, t->connection_pool()));
     r.servers.push_back(condense_server(*t));
     r.tomcat_gc_seconds += bed.window_gc_seconds(t->jvm());
   }
@@ -231,11 +231,6 @@ RunResult Experiment::run(const SoftConfig& soft, std::size_t users) const {
   }
   for (const auto& m : bed.mysqls()) {
     r.servers.push_back(condense_server(*m));
-  }
-  if (opts_.keep_series) {
-    for (std::size_t i = 0; i < bed.sampler().probes(); ++i) {
-      r.series.push_back(bed.sampler().series(i));
-    }
   }
   const workload::ClientFarm& farm = bed.farm();
   for (std::size_t t = 0; t < farm.num_tenants(); ++t) {
@@ -261,6 +256,7 @@ RunResult Experiment::run(const SoftConfig& soft, std::size_t users) const {
   obs::corroborate(r.diagnosis, r.tail);
   if (opts_.profile) r.profile = profiler.snapshot();
   if (bed.governor() != nullptr) r.governor_actions = bed.governor()->actions();
+  r.series = bed.timeline().take();
 
   if (!opts_.report_html.empty()) {
     obs::ReportMeta meta;
@@ -287,12 +283,20 @@ RunResult Experiment::run(const SoftConfig& soft, std::size_t users) const {
           obs::ReportMeta::ResizeMark{act.at, act.pool, act.from, act.to});
     }
     const obs::LatencyBreakdown breakdown = ctx.traces().breakdown();
-    obs::write_flight_recorder_html(
-        report_path(opts_.report_html, soft, users), meta, bed.timeline(),
-        r.diagnosis, breakdown.rows.empty() ? nullptr : &breakdown,
-        r.profile.enabled ? &r.profile : nullptr,
-        r.tail.empty() ? nullptr : &r.tail,
-        r.tail.empty() ? nullptr : &ctx.traces());
+    const std::string path = report_path(opts_.report_html, soft, users);
+    if (!obs::write_flight_recorder_html(
+            path, meta, r.series, r.diagnosis,
+            breakdown.rows.empty() ? nullptr : &breakdown,
+            r.profile.enabled ? &r.profile : nullptr,
+            r.tail.empty() ? nullptr : &r.tail,
+            r.tail.empty() ? nullptr : &ctx.traces())) {
+      const char* env = std::getenv("SOFTRES_REPORT_HTML");
+      throw std::runtime_error(
+          "cannot write flight-recorder report '" + path + "'" +
+          (env != nullptr && opts_.report_html == env
+               ? " (from SOFTRES_REPORT_HTML)"
+               : ""));
+    }
   }
 
   r.traces = std::move(ctx.traces());

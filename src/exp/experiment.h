@@ -10,8 +10,8 @@
 #include "obs/profiler.h"
 #include "obs/registry.h"
 #include "obs/tail.h"
+#include "obs/timeline.h"
 #include "obs/trace.h"
-#include "sim/sampler.h"
 #include "sim/stats.h"
 #include "workload/client_farm.h"
 
@@ -24,10 +24,9 @@ namespace softres::exp {
 struct ExperimentOptions {
   workload::ClientConfig client;   // users is overridden per run
   double sla_threshold_s = 2.0;    // reporting default, as in the paper
-  bool keep_series = true;         // retain all sampler series in the result
 
   /// Closed-loop soft-resource governor (disabled by default). When
-  /// governor.enabled is set, every trial runs a core::Governor at sampler
+  /// governor.enabled is set, every trial runs a core::Governor at sampling
   /// cadence that live-resizes the testbed's pools; RunResult::
   /// governor_actions carries the applied resizes.
   core::GovernorConfig governor;
@@ -54,7 +53,8 @@ struct ExperimentOptions {
   /// When non-empty, every trial writes a flight-recorder HTML report; the
   /// trial's soft allocation and workload are folded into the file name
   /// ("out.html" -> "out_s400-6-60_u6200.html"). from_env() reads it from
-  /// SOFTRES_REPORT_HTML.
+  /// SOFTRES_REPORT_HTML. A report that cannot be written makes run() throw
+  /// std::runtime_error naming the path.
   std::string report_html;
 
   /// Reads SOFTRES_FULL, SOFTRES_TRACE_RATE, SOFTRES_SEED,
@@ -119,7 +119,9 @@ struct RunResult {
   double tomcat_gc_seconds = 0.0;  // summed over app-server JVMs
   double req_ratio = 0.0;          // workload's queries per interaction
 
-  std::vector<sim::TimeSeries> series;  // all sampler series (optional)
+  /// The trial's time-series store, moved out of the testbed: one column per
+  /// registry counter and gauge, one sample per 1 s tick of the whole trial.
+  obs::Timeline series;
 
   /// End-of-trial registry snapshot (every probe, counter and histogram);
   /// export with obs::write_prometheus / obs::write_csv.
@@ -150,7 +152,8 @@ struct RunResult {
   metrics::SlaSplit sla(double threshold_s) const;
   std::vector<std::string> saturated_hardware() const;
   std::vector<std::string> saturated_soft() const;
-  const sim::TimeSeries* find_series(const std::string& name) const;
+  const obs::Series* find_series(const std::string& family,
+                                 const obs::Labels& labels = {}) const;
   const CpuStat* find_cpu(const std::string& name) const;
   const ServerOps* find_server(const std::string& name) const;
   const PoolStat* find_pool(const std::string& name) const;

@@ -70,7 +70,7 @@ class RunContext {
   const obs::Registry& registry() const { return registry_; }
 
   /// Zero every metric value, histogram sum/count and bucket in the registry
-  /// while keeping registrations, pull sources and dotted aliases. Testbed
+  /// while keeping registrations and pull sources. Testbed
   /// wiring calls this at build time: on a fresh context it is a no-op, but
   /// re-wiring a second testbed onto a reused context must not inherit the
   /// previous trial's histogram accumulations.

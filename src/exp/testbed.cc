@@ -125,11 +125,7 @@ void Testbed::build(const workload::ClientConfig& client_cfg) {
     }
   }
 
-  // Unified observability: every probe family registers on the one Registry;
-  // the SysStat-equivalent sampler polls it at 1 s granularity. Registry
-  // aliases keep the historical dotted series names ("tomcat0.threads.util",
-  // "apache0.processed", ...) resolvable through Sampler::find_series.
-  sampler_ = std::make_unique<sim::Sampler>(sim, 1.0);
+  // Unified observability: every probe family registers on the one Registry.
   for (auto& node : nodes_) {
     obs::register_cpu_util(registry, *node);
   }
@@ -158,7 +154,6 @@ void Testbed::build(const workload::ClientConfig& client_cfg) {
     const soft::Pool* pool = pool_set_.entries()[pi].pool;
     const soft::TenantArbiter* arb = arbiters_[pi].get();
     for (std::size_t t = 0; t < arb->tenants(); ++t) {
-      const std::string& tname = arb->tenant(t).name;
       registry.gauge_fn(
           "pool_tenant_share_pct",
           [pool, t](sim::SimTime) {
@@ -167,59 +162,26 @@ void Testbed::build(const workload::ClientConfig& client_cfg) {
             return 100.0 * static_cast<double>(pool->tenant_in_use(t)) /
                    static_cast<double>(cap);
           },
-          {{"pool", pool->name()}, {"tenant", tname}},
-          "Share of a pool's capacity held by one tenant, in percent",
-          pool->name() + "." + tname + ".share");
+          {{"pool", pool->name()}, {"tenant", arb->tenant(t).name}},
+          "Share of a pool's capacity held by one tenant, in percent");
     }
   }
-  registry.attach(*sampler_);
 
-  // Arbiter credit accounting (Karma epochs) rides the sampler so ticks are
-  // part of the deterministic event order. Runs before "obs.diagnosis" —
-  // probes evaluate in registration order — and its series is the total
-  // outstanding credit balance, a useful fairness trace in itself.
-  if (!arbiters_.empty()) {
-    sampler_->add_probe("soft.partition", [this](sim::SimTime now) {
-      double credits = 0.0;
-      for (std::size_t pi = 0; pi < arbiters_.size(); ++pi) {
-        soft::TenantArbiter& arb = *arbiters_[pi];
-        arb.tick(now, *pool_set_.entries()[pi].pool);
-        for (std::size_t t = 0; t < arb.tenants(); ++t) {
-          credits += arb.credits(t);
-        }
-      }
-      return credits;
-    });
-  }
-
-  // Streaming diagnosis: ring-buffer the families the paper's pathologies
-  // live in, tick them from the sampler, and run the detectors right after
-  // each tick (probes evaluate in registration order). The analysis window
-  // is the measurement window, so ramp transients cannot fire a pathology.
-  timeline_ = std::make_unique<obs::Timeline>(registry);
-  for (const char* family :
-       {"cpu_util_pct", "gc_util_pct", "pool_util_pct", "pool_waiting",
-        "pool_capacity", "server_throughput", "apache_threads_active",
-        "apache_threads_connecting", "tenant_goodput", "tenant_badput",
-        "tenant_active_users", "pool_tenant_share_pct"}) {
-    timeline_->track_family(family);
-  }
-  timeline_->attach(*sampler_);
-  diagnoser_ = std::make_unique<obs::Diagnoser>(*timeline_);
+  // The trial's one time-series store: a column per series registered
+  // above, reserved for every tick up to the horizon. The diagnoser finds
+  // its pools, CPUs and web tiers in it by family and labels; its analysis
+  // window is the measurement window, so ramp transients cannot fire a
+  // pathology.
+  timeline_ = obs::Timeline(
+      registry,
+      static_cast<std::size_t>(farm_->total_duration() / kSampleInterval));
+  diagnoser_ = std::make_unique<obs::Diagnoser>(timeline_);
   diagnoser_->set_analysis_window(farm_->measure_start(),
                                   farm_->measure_end());
-  obs::Diagnoser* diag = diagnoser_.get();
-  sampler_->add_probe("obs.diagnosis", [diag](sim::SimTime now) {
-    diag->observe(now);
-    return static_cast<double>(diag->active_detectors());
-  });
 
-  // Closed-loop governor (opt-in via the trial context). The probe runs
-  // after "obs.diagnosis" — probes evaluate in registration order — so each
-  // tick consumes the diagnosis of the same sampling instant. The callback
-  // captures only `this` (fits InlineFunction's buffer) and is a pure
-  // function of sim state, keeping governed trials bit-identical across
-  // sweep workers.
+  // Closed-loop governor (opt-in via the trial context); tick() runs it
+  // after the diagnoser, so each step consumes the diagnosis of the same
+  // sampling instant.
   const core::GovernorConfig& gov_cfg = ctx_->governor_config();
   if (gov_cfg.enabled) {
     governor_ = std::make_unique<core::Governor>(gov_cfg, pool_set_);
@@ -227,9 +189,23 @@ void Testbed::build(const workload::ClientConfig& client_cfg) {
       if (node->name().rfind("apache", 0) == 0) continue;  // web stalls != CPU
       governor_busy_.push_back(GovernorNodeBusy{node.get(), 0.0});
     }
-    sampler_->add_probe("core.governor", [this](sim::SimTime now) {
-      return governor_tick(now);
-    });
+  }
+}
+
+void Testbed::tick() {
+  const sim::SimTime now = simulator().now();
+  timeline_.record(now);
+  // Arbiter credit accounting (Karma epochs) rides the tick so it is part
+  // of the deterministic event order.
+  for (std::size_t pi = 0; pi < arbiters_.size(); ++pi) {
+    arbiters_[pi]->tick(now, *pool_set_.entries()[pi].pool);
+  }
+  diagnoser_->observe(now);
+  if (governor_ != nullptr) governor_tick(now);
+  // The next tick is scheduled only after this one's work, and never past
+  // the horizon: the columns reserved in build() are never outgrown.
+  if (now + kSampleInterval <= farm_->total_duration()) {
+    simulator().schedule(kSampleInterval, [this] { tick(); });
   }
 }
 
@@ -243,7 +219,7 @@ void Testbed::sync_cjdbc_upstreams() {
   }
 }
 
-double Testbed::governor_tick(sim::SimTime now) {
+void Testbed::governor_tick(sim::SimTime now) {
   // Hottest backend CPU over the last tick: the growth-guard input. Same
   // busy-core differentiation the AdaptiveTuner uses for its guard.
   const double dt = now - governor_prev_tick_;
@@ -271,7 +247,7 @@ double Testbed::governor_tick(sim::SimTime now) {
     advice.kind = core::GovernorAdvice::Kind::kShrink;
     advice.resource = hint.resource;
   }
-  return static_cast<double>(governor_->tick(now, max_cpu_pct, advice));
+  governor_->tick(now, max_cpu_pct, advice);
 }
 
 hw::Node& Testbed::add_node(const std::string& name) {
@@ -322,7 +298,7 @@ void Testbed::run() {
   // Phase transitions ride the trial's own schedule: everything before this
   // call is kSetup, the measurement-window events below advance further.
   SOFTRES_PROF_PHASE(kRampUp);
-  sampler_->start();
+  simulator().schedule(kSampleInterval, [this] { tick(); });
   farm_->start();
   simulator().schedule_at(farm_->measure_start(), [this] { on_measure_start(); });
   simulator().schedule_at(farm_->measure_end(), [this] { on_measure_end(); });

@@ -13,7 +13,6 @@
 #include "obs/diagnoser.h"
 #include "obs/registry.h"
 #include "obs/timeline.h"
-#include "sim/sampler.h"
 #include "sim/simulator.h"
 #include "soft/partition.h"
 #include "soft/pool_set.h"
@@ -27,7 +26,8 @@
 namespace softres::exp {
 
 /// One fully wired instance of the simulated Emulab deployment: dedicated
-/// node per server, tier links, SysStat-style sampler, RUBBoS client farm.
+/// node per server, tier links, SysStat-style 1 s sampling tick, RUBBoS
+/// client farm.
 /// Construct, `run()`, then read the metrics. A Testbed is single-use — a new
 /// experiment trial builds a fresh one, exactly like redeploying the rig.
 class Testbed {
@@ -55,16 +55,14 @@ class Testbed {
   const RunContext& context() const { return *ctx_; }
 
   sim::Simulator& simulator() { return ctx_->simulator(); }
-  sim::Sampler& sampler() { return *sampler_; }
-  const sim::Sampler& sampler() const { return *sampler_; }
   /// Unified metrics registry: every probe of every tier, the client farm and
-  /// any runtime tuner registers here; the sampler polls it at 1 Hz.
+  /// any runtime tuner registers here.
   obs::Registry& registry() { return ctx_->registry(); }
   const obs::Registry& registry() const { return ctx_->registry(); }
-  /// Windowed time-series store over the key registry families, ticked by
-  /// the sampler; the diagnoser's detectors run right after each tick.
-  obs::Timeline& timeline() { return *timeline_; }
-  const obs::Timeline& timeline() const { return *timeline_; }
+  /// The trial's time-series store: every series registered by the end of
+  /// construction, recorded once per tick for the whole trial.
+  obs::Timeline& timeline() { return timeline_; }
+  const obs::Timeline& timeline() const { return timeline_; }
   /// Online pathology diagnoser; diagnosis() is the trial's verdict.
   obs::Diagnoser& diagnoser() { return *diagnoser_; }
   const obs::Diagnoser& diagnoser() const { return *diagnoser_; }
@@ -129,7 +127,13 @@ class Testbed {
   void on_measure_start();
   void on_measure_end();
   void sync_cjdbc_upstreams();
-  double governor_tick(sim::SimTime now);
+  /// One sampling instant: record every series, then step the tenant
+  /// arbiters, the diagnoser and the governor, in that order.
+  void tick();
+  void governor_tick(sim::SimTime now);
+
+  /// The paper's SysStat granularity.
+  static constexpr sim::SimTime kSampleInterval = 1.0;
 
   std::unique_ptr<RunContext> owned_ctx_;  // only for the standalone ctor
   RunContext* ctx_ = nullptr;
@@ -143,8 +147,7 @@ class Testbed {
   std::vector<std::unique_ptr<tier::TomcatServer>> tomcats_;
   std::vector<std::unique_ptr<tier::ApacheServer>> apaches_;
   std::unique_ptr<workload::ClientFarm> farm_;
-  std::unique_ptr<sim::Sampler> sampler_;
-  std::unique_ptr<obs::Timeline> timeline_;
+  obs::Timeline timeline_;
   std::unique_ptr<obs::Diagnoser> diagnoser_;
 
   soft::ResizablePoolSet pool_set_;

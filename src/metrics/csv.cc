@@ -3,33 +3,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
+#include <stdexcept>
 
 namespace softres::metrics {
-
-void write_series_csv(std::ostream& os,
-                      const std::vector<const sim::TimeSeries*>& series) {
-  os << "time";
-  for (const auto* s : series) os << ',' << s->name;
-  os << '\n';
-  std::size_t rows = 0;
-  for (const auto* s : series) rows = std::max(rows, s->size());
-  for (std::size_t i = 0; i < rows; ++i) {
-    // Sampled together, so any series supplies the timestamp.
-    double t = 0.0;
-    for (const auto* s : series) {
-      if (i < s->size()) {
-        t = s->times[i];
-        break;
-      }
-    }
-    os << t;
-    for (const auto* s : series) {
-      os << ',';
-      if (i < s->size()) os << s->values[i];
-    }
-    os << '\n';
-  }
-}
 
 void write_xy_csv(std::ostream& os, const std::string& x_name,
                   const std::vector<double>& x,
@@ -56,8 +32,13 @@ std::string csv_dir_from_env() {
 bool export_csv(const std::string& dir, const std::string& name,
                 const std::function<void(std::ostream&)>& fn) {
   if (dir.empty()) return false;
-  std::ofstream file(dir + "/" + name);
-  if (!file) return false;
+  const std::string path = dir + "/" + name;
+  std::ofstream file(path);
+  if (!file) {
+    throw std::runtime_error(
+        "cannot write CSV export '" + path + "'" +
+        (dir == csv_dir_from_env() ? " (from SOFTRES_CSV_DIR)" : ""));
+  }
   fn(file);
   return true;
 }

@@ -6,17 +6,10 @@
 #include <utility>
 #include <vector>
 
-#include "sim/sampler.h"
-
 namespace softres::metrics {
 
-/// Plot-ready exports: the figure benches can drop their series as CSV files
+/// Plot-ready exports: the figure benches can drop their sweeps as CSV files
 /// (gnuplot/matplotlib friendly) next to the printed tables.
-
-/// Write aligned time series as columns: time,<name1>,<name2>,...
-/// Series are matched by index; shorter series pad with empty cells.
-void write_series_csv(std::ostream& os,
-                      const std::vector<const sim::TimeSeries*>& series);
 
 /// Write rows of (x, y1, y2, ...) with a header line.
 void write_xy_csv(std::ostream& os, const std::string& x_name,
@@ -27,8 +20,10 @@ void write_xy_csv(std::ostream& os, const std::string& x_name,
 /// Directory from SOFTRES_CSV_DIR, or empty when export is disabled.
 std::string csv_dir_from_env();
 
-/// Open `dir/name` and write via `fn`; no-op when dir is empty. Returns true
-/// when a file was written.
+/// Open `dir/name` and write via `fn`. Returns false (writing nothing) when
+/// dir is empty, true when the file was written; throws std::runtime_error
+/// naming the path, and SOFTRES_CSV_DIR when dir came from it, when the file
+/// cannot be opened.
 bool export_csv(const std::string& dir, const std::string& name,
                 const std::function<void(std::ostream&)>& fn);
 

@@ -103,15 +103,6 @@ void Diagnoser::set_analysis_window(sim::SimTime lo, sim::SimTime hi) {
   analysis_hi_ = hi;
 }
 
-const SeriesWindow* Diagnoser::capacity_window(const std::string& pool) const {
-  for (const PoolRef& p : pools_) {
-    if (p.pool == pool && p.capacity != npos) {
-      return &timeline_->window(p.capacity);
-    }
-  }
-  return nullptr;
-}
-
 void Diagnoser::discover() {
   const Timeline& tl = *timeline_;
   auto label = [](const Labels& ls, const char* key) -> std::string {
@@ -120,16 +111,16 @@ void Diagnoser::discover() {
     }
     return "";
   };
-  // Pass 1: group the tracked series by semantic family.
-  for (std::size_t i = 0; i < tl.series_count(); ++i) {
-    const std::string& name = tl.name(i);
+  // Pass 1: group the recorded series by semantic family.
+  for (std::size_t i = 0; i < tl.size(); ++i) {
+    const std::string& name = tl[i].family;
+    const Labels& labels = tl[i].labels;
     if (name == "cpu_util_pct") {
-      cpus_.push_back(CpuRef{label(tl.labels(i), "node"), i});
+      cpus_.push_back(CpuRef{label(labels, "node"), i});
     } else if (name == "gc_util_pct") {
-      gcs_.push_back(GcRef{label(tl.labels(i), "node"), i, npos, npos});
-    } else if (name == "pool_util_pct" || name == "pool_waiting" ||
-               name == "pool_capacity") {
-      const std::string pool = label(tl.labels(i), "pool");
+      gcs_.push_back(GcRef{label(labels, "node"), i, npos});
+    } else if (name == "pool_util_pct" || name == "pool_waiting") {
+      const std::string pool = label(labels, "pool");
       const std::size_t dot = pool.rfind('.');
       PoolRef* ref = nullptr;
       for (PoolRef& p : pools_) {
@@ -142,21 +133,15 @@ void Diagnoser::discover() {
         ref->server = dot == std::string::npos ? pool : pool.substr(0, dot);
         ref->kind = dot == std::string::npos ? "" : pool.substr(dot + 1);
       }
-      if (name == "pool_util_pct") {
-        ref->util = i;
-      } else if (name == "pool_waiting") {
-        ref->waiting = i;
-      } else {
-        ref->capacity = i;
-      }
+      (name == "pool_util_pct" ? ref->util : ref->waiting) = i;
     } else if (name == "pool_tenant_share_pct") {
-      tenant_shares_.push_back(TenantShareRef{
-          label(tl.labels(i), "pool"), label(tl.labels(i), "tenant"), i});
+      tenant_shares_.push_back(
+          TenantShareRef{label(labels, "pool"), label(labels, "tenant"), i});
     } else if (name == "tenant_badput") {
-      tenant_slas_.push_back(TenantSlaRef{label(tl.labels(i), "tenant"), i});
+      tenant_slas_.push_back(TenantSlaRef{label(labels, "tenant"), i});
     } else if (name == "apache_threads_active" ||
                name == "apache_threads_connecting") {
-      const std::string server = label(tl.labels(i), "server");
+      const std::string server = label(labels, "server");
       WebRef* ref = nullptr;
       for (WebRef& w : webs_) {
         if (w.server == server) ref = &w;
@@ -169,18 +154,11 @@ void Diagnoser::discover() {
       (name == "apache_threads_active" ? ref->active : ref->connecting) = i;
     }
   }
-  // Pass 2: cross-link (GC node -> its CPU/throughput, web server -> its
-  // worker pool) and instantiate one detector per rule instance.
+  // Pass 2: cross-link (GC node -> its CPU, web server -> its worker pool)
+  // and instantiate one detector per rule instance.
   for (GcRef& g : gcs_) {
     for (const CpuRef& c : cpus_) {
       if (c.node == g.node) g.cpu = c.util;
-    }
-    const SeriesWindow* tp =
-        tl.find("server_throughput", {{"server", g.node}});
-    if (tp != nullptr) {
-      for (std::size_t i = 0; i < tl.series_count(); ++i) {
-        if (&tl.window(i) == tp) g.throughput = i;
-      }
     }
   }
   for (WebRef& w : webs_) {
@@ -194,7 +172,7 @@ void Diagnoser::discover() {
     Detector d;
     d.pathology = Pathology::kSoftUnderAlloc;
     d.primary = p.util;
-    d.series = tl.series(p.util);
+    d.series = tl[p.util].name;
     d.resource = p.pool;
     d.threshold = cfg_.pool_saturated_pct;
     d.action = {SuggestedAction::Kind::kGrowPool, p.pool,
@@ -207,7 +185,7 @@ void Diagnoser::discover() {
     Detector d;
     d.pathology = Pathology::kGcOverAlloc;
     d.primary = g.gc;
-    d.series = tl.series(g.gc);
+    d.series = tl[g.gc].name;
     d.resource = g.node + ".cpu";
     d.threshold = cfg_.gc_high_pct;
     // The pools whose over-allocation feeds this JVM's live set: the node's
@@ -236,7 +214,7 @@ void Diagnoser::discover() {
     Detector d;
     d.pathology = Pathology::kFinWaitBuffer;
     d.primary = w.connecting;
-    d.series = tl.series(w.connecting);
+    d.series = tl[w.connecting].name;
     d.resource = w.server + ".workers";
     d.threshold = cfg_.connecting_fraction;
     d.action = {SuggestedAction::Kind::kGrowPool, w.server + ".workers",
@@ -263,7 +241,7 @@ void Diagnoser::discover() {
     Detector d;
     d.pathology = Pathology::kNoisyNeighbor;
     d.primary = ts.share;
-    d.series = tl.series(ts.share);
+    d.series = tl[ts.share].name;
     d.resource = "tenant:" + ts.tenant;
     d.also_implicated.push_back(ts.pool);
     d.threshold =
@@ -278,7 +256,7 @@ void Diagnoser::discover() {
     Detector d;
     d.pathology = Pathology::kHardware;
     d.primary = c.util;
-    d.series = tl.series(c.util);
+    d.series = tl[c.util].name;
     d.resource = c.node + ".cpu";
     d.threshold = cfg_.cpu_saturated_pct;
     d.action = {SuggestedAction::Kind::kAddHardware, c.node,
@@ -300,7 +278,7 @@ std::size_t Diagnoser::active_detectors() const {
 }
 
 double Diagnoser::smoothed(std::size_t i) const {
-  return timeline_->window(i).mean_over(cfg_.stat_window_s);
+  return timeline_->trailing_mean(i, cfg_.stat_window_s);
 }
 
 double Diagnoser::max_cpu() const {

@@ -1,7 +1,7 @@
 #pragma once
 
 // Online soft-resource pathology diagnoser: one streaming detector per paper
-// pathology, each watching correlated obs::Timeline windows and emitting
+// pathology, each watching correlated obs::Timeline series and emitting
 // evidence windows that cite the exact series, time range and threshold that
 // fired. This is the automation of the paper's diagnosis step — the part that
 // hardware-only monitoring cannot do (Sections III-A/B/C):
@@ -138,10 +138,10 @@ struct DiagnoserConfig {
 };
 
 /// Streaming rule engine over one trial's Timeline. Construct after the
-/// testbed has tracked its series (the constructor discovers pools, CPUs, GC
-/// and web-tier series from the timeline's contents by naming convention:
-/// pools "<server>.workers|threads|dbconns", nodes by label). Call observe()
-/// once per sampler tick, then diagnosis() for the verdict.
+/// store holds its series (the constructor discovers pools, CPUs, GC and
+/// web-tier series by family and labels, pools by the naming convention
+/// "<server>.workers|threads|dbconns"). Call observe() once per tick, right
+/// after the store recorded it, then diagnosis() for the verdict.
 class Diagnoser {
  public:
   explicit Diagnoser(const Timeline& timeline, DiagnoserConfig cfg = {});
@@ -161,18 +161,8 @@ class Diagnoser {
   /// control interval (the AdaptiveTuner hint channel does).
   Diagnosis diagnosis() const;
 
-  /// Pathology the running evidence currently points at (diagnosis() minus
-  /// the evidence list), exported as the "obs.diagnosis" sampler series.
-  Pathology current() const { return diagnosis().pathology; }
-
-  /// Detectors whose condition held at the latest observe() — the cheap
-  /// per-tick health number the "obs.diagnosis" sampler series records.
+  /// Detectors whose condition held at the latest observe().
   std::size_t active_detectors() const;
-
-  /// Ring-buffered pool_capacity series of `pool`, when the timeline tracks
-  /// one. Lets consumers (reports, controllers' observability) separate
-  /// "load grew" from "capacity shrank" around an evidence window.
-  const SeriesWindow* capacity_window(const std::string& pool) const;
 
   const DiagnoserConfig& config() const { return cfg_; }
 
@@ -201,7 +191,6 @@ class Diagnoser {
     std::string kind;    // "workers" | "threads" | "dbconns"
     std::size_t util = npos;
     std::size_t waiting = npos;
-    std::size_t capacity = npos;  // pool_capacity gauge (live resizes)
   };
   struct CpuRef {
     std::string node;
@@ -210,8 +199,7 @@ class Diagnoser {
   struct GcRef {
     std::string node;
     std::size_t gc = npos;
-    std::size_t cpu = npos;         // cpu_util_pct of the same node
-    std::size_t throughput = npos;  // server_throughput of the same server
+    std::size_t cpu = npos;  // cpu_util_pct of the same node
   };
   struct WebRef {
     std::string server;

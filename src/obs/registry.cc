@@ -202,33 +202,21 @@ Histogram Registry::histogram(const std::string& name,
 }
 
 void Registry::gauge_fn(const std::string& name, Source source, Labels labels,
-                        const std::string& help, const std::string& alias) {
-  detail::Metric* m =
-      find_or_add(name, std::move(labels), help, MetricKind::kGauge);
-  m->source = std::move(source);
-  m->alias = alias;
+                        const std::string& help) {
+  find_or_add(name, std::move(labels), help, MetricKind::kGauge)->source =
+      std::move(source);
 }
 
 void Registry::counter_fn(const std::string& name, Source source,
-                          Labels labels, const std::string& help,
-                          const std::string& alias) {
-  detail::Metric* m =
-      find_or_add(name, std::move(labels), help, MetricKind::kCounter);
-  m->source = std::move(source);
-  m->alias = alias;
+                          Labels labels, const std::string& help) {
+  find_or_add(name, std::move(labels), help, MetricKind::kCounter)->source =
+      std::move(source);
 }
 
-Reader Registry::reader(const std::string& name, const Labels& labels) const {
+std::vector<Reader> Registry::series() const {
+  std::vector<Reader> out;
   for (const auto& m : metrics_) {
-    if (m->name == name && m->labels == labels) return Reader(m.get());
-  }
-  return Reader();
-}
-
-std::vector<Labels> Registry::family(const std::string& name) const {
-  std::vector<Labels> out;
-  for (const auto& m : metrics_) {
-    if (m->name == name) out.push_back(m->labels);
+    if (m->kind != MetricKind::kHistogram) out.push_back(Reader(m.get()));
   }
   return out;
 }
@@ -270,23 +258,6 @@ void Registry::write_prometheus(std::ostream& os, sim::SimTime now) const {
 
 void Registry::write_csv(std::ostream& os, sim::SimTime now) const {
   obs::write_csv(os, snapshot(now));
-}
-
-void Registry::attach(sim::Sampler& sampler) {
-  for (const auto& m : metrics_) {
-    detail::Metric* raw = m.get();
-    const std::string series =
-        raw->alias.empty() ? render_series(raw->name, raw->labels)
-                           : raw->alias;
-    if (raw->kind == MetricKind::kHistogram) {
-      sampler.add_probe(series + ".count", [raw](sim::SimTime) {
-        return static_cast<double>(raw->count);
-      });
-      continue;
-    }
-    sampler.add_probe(series,
-                      [raw](sim::SimTime now) { return raw->read(now); });
-  }
 }
 
 }  // namespace softres::obs

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/sampler.h"
 #include "sim/sim_time.h"
 
 namespace softres::obs {
@@ -26,9 +25,6 @@ struct Metric {
   Labels labels;
   std::string help;
   MetricKind kind = MetricKind::kGauge;
-  /// Legacy dotted series name ("tomcat0.threads.util") used when the
-  /// registry is attached to a sim::Sampler; empty -> rendered name.
-  std::string alias;
 
   double value = 0.0;                    // counter/gauge storage
   std::function<double(sim::SimTime)> source;  // pull metrics (polled)
@@ -40,9 +36,9 @@ struct Metric {
 
   /// Pull sources are evaluated at most once per timestamp: rate-style
   /// sources differentiate a cumulative counter against their previous call,
-  /// so a second same-tick caller (e.g. the Timeline polling after the
-  /// sampler probe) would otherwise see dt = 0. Every same-instant reader
-  /// gets the first evaluation's value.
+  /// so a second same-tick caller (e.g. the end-of-trial snapshot taken at
+  /// the instant of the last Timeline tick) would otherwise see dt = 0.
+  /// Every same-instant reader gets the first evaluation's value.
   mutable sim::SimTime cached_at = -1.0;
   mutable double cached = 0.0;
 
@@ -108,13 +104,16 @@ class Histogram {
 
 /// Read-only handle on one registered series: evaluates the pull source (or
 /// returns the stored value) without snapshotting the whole registry. This is
-/// what obs::Timeline polls every sampler tick — one cheap read per tracked
-/// series instead of a full Snapshot. A default-constructed Reader reads 0.
+/// what obs::Timeline reads every sampling tick — one cheap read per series
+/// instead of a full Snapshot. A default-constructed Reader reads 0.
 class Reader {
  public:
   Reader() = default;
   bool valid() const { return m_ != nullptr; }
   double read(sim::SimTime now) const { return m_ != nullptr ? m_->read(now) : 0.0; }
+  /// Identity of the series (valid readers only).
+  const std::string& name() const { return m_->name; }
+  const Labels& labels() const { return m_->labels; }
 
  private:
   friend class Registry;
@@ -155,8 +154,9 @@ void write_prometheus(std::ostream& os, const Snapshot& snap);
 void write_csv(std::ostream& os, const Snapshot& snap);
 
 /// The one place every probe in the system registers: labeled counters,
-/// gauges (stored or polled) and histograms, with a snapshot API, Prometheus
-/// and CSV exporters, and 1 Hz sampling through the existing sim::Sampler.
+/// gauges (stored or polled) and histograms, with a snapshot API and
+/// Prometheus and CSV exporters. obs::Timeline records every counter and
+/// gauge once per sampling tick.
 ///
 /// Handles returned by the factories stay valid for the registry's lifetime.
 /// Registering an already-existing (name, labels) pair returns the same
@@ -176,26 +176,21 @@ class Registry {
   Histogram histogram(const std::string& name, std::vector<double> bounds,
                       Labels labels = {}, const std::string& help = "");
 
-  /// Polled gauge: `source` is evaluated at snapshot/sampling time. `alias`
-  /// names the sim::Sampler series (legacy dotted names); empty -> rendered
-  /// metric name.
+  /// Polled gauge: `source` is evaluated at snapshot/sampling time.
   void gauge_fn(const std::string& name, Source source, Labels labels = {},
-                const std::string& help = "", const std::string& alias = "");
+                const std::string& help = "");
   /// Polled counter (cumulative source, e.g. total completions).
   void counter_fn(const std::string& name, Source source, Labels labels = {},
-                  const std::string& help = "", const std::string& alias = "");
+                  const std::string& help = "");
 
-  /// Cheap read-only handle on an already-registered series (invalid Reader
-  /// when no such series exists). Stays valid for the registry's lifetime.
-  Reader reader(const std::string& name, const Labels& labels = {}) const;
-
-  /// Label sets of every series registered under family `name`, in
-  /// registration order (used to enumerate e.g. every pool_util_pct series).
-  std::vector<Labels> family(const std::string& name) const;
+  /// Readers on every counter and gauge registered so far, in registration
+  /// order; histograms have no scalar value and are skipped. These are the
+  /// columns of an obs::Timeline.
+  std::vector<Reader> series() const;
 
   /// Reset every stored value — counters, gauges, histogram buckets, sums and
-  /// counts — to zero while keeping registrations, pull sources, aliases and
-  /// handles intact. A registry reused across back-to-back trials must call
+  /// counts — to zero while keeping registrations, pull sources and handles
+  /// intact. A registry reused across back-to-back trials must call
   /// this between trials or the second trial's histograms (and counters)
   /// continue accumulating on top of the first's.
   void reset_values();
@@ -205,12 +200,6 @@ class Registry {
 
   void write_prometheus(std::ostream& os, sim::SimTime now) const;
   void write_csv(std::ostream& os, sim::SimTime now) const;
-
-  /// Register every scalar metric as a probe on `sampler`, so the registry is
-  /// sampled at the sampler's cadence (1 Hz in the testbed — the SysStat
-  /// granularity). Histograms are sampled as their observation count. Metrics
-  /// registered after this call are still snapshotted but not sampled.
-  void attach(sim::Sampler& sampler);
 
   std::size_t size() const { return metrics_.size(); }
 

@@ -53,18 +53,19 @@ struct SvgScale {
   }
 };
 
-void write_series_svg(std::ostream& os, const SeriesWindow& win,
-                      const std::string& series,
+void write_series_svg(std::ostream& os, const std::vector<sim::SimTime>& times,
+                      const Series& s,
                       const std::vector<const EvidenceWindow*>& evidence,
                       const std::vector<const ReportMeta::ResizeMark*>& marks,
                       sim::SimTime t0, sim::SimTime t1) {
+  const std::string& series = s.name;
   SvgScale sc;
   sc.t0 = t0;
   sc.t1 = t1;
   double lo = 0.0, hi = 1.0;
-  for (std::size_t i = 0; i < win.size(); ++i) {
-    lo = std::min(lo, win.value_at(i));
-    hi = std::max(hi, win.value_at(i));
+  for (const double v : s.values) {
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
   }
   sc.v0 = lo;
   sc.v1 = hi <= lo ? lo + 1.0 : hi;
@@ -93,11 +94,11 @@ void write_series_svg(std::ostream& os, const SeriesWindow& win,
        << escape_html(m->pool) << " " << m->from << " -> " << m->to << " @ "
        << fmt(m->at, 0) << " s</title></line>\n";
   }
-  if (win.size() >= 2) {
+  if (s.size() >= 2) {
     os << "  <polyline class=\"line\" points=\"";
-    for (std::size_t i = 0; i < win.size(); ++i) {
+    for (std::size_t i = 0; i < s.size(); ++i) {
       if (i > 0) os << " ";
-      os << fmt(sc.x(win.time_at(i))) << "," << fmt(sc.y(win.value_at(i)));
+      os << fmt(sc.x(times[i])) << "," << fmt(sc.y(s.values[i]));
     }
     os << "\"/>\n";
   }
@@ -105,7 +106,8 @@ void write_series_svg(std::ostream& os, const SeriesWindow& win,
      << escape_html(series) << "</text>\n";
   os << "  <text x=\"" << sc.w - sc.pad - 2
      << "\" y=\"12\" text-anchor=\"end\" class=\"label\">last "
-     << fmt(win.last()) << " | max " << fmt(sc.v1) << "</text>\n";
+     << fmt(s.values.empty() ? 0.0 : s.values.back()) << " | max "
+     << fmt(sc.v1) << "</text>\n";
   os << "</svg>\n";
 }
 
@@ -321,37 +323,31 @@ void write_flight_recorder_html(std::ostream& os, const ReportMeta& meta,
     os << "</table>\n";
   }
 
-  // Timelines: common extent so windows line up vertically across series.
+  // Timelines: one lane per recorded series over the store's shared time
+  // column, so windows line up vertically across series.
   os << "<h2>Timelines</h2>\n";
-  sim::SimTime t0 = 0.0, t1 = 1.0;
-  bool any = false;
-  for (std::size_t i = 0; i < timeline.series_count(); ++i) {
-    const SeriesWindow& w = timeline.window(i);
-    if (w.empty()) continue;
-    t0 = any ? std::min(t0, w.first_time()) : w.first_time();
-    t1 = any ? std::max(t1, w.last_time()) : w.last_time();
-    any = true;
-  }
-  if (t1 <= t0) t1 = t0 + 1.0;
-  auto render = [&](std::size_t i) {
+  const std::vector<sim::SimTime>& times = timeline.times();
+  const sim::SimTime t0 = times.empty() ? 0.0 : times.front();
+  const sim::SimTime t1 =
+      times.empty() || times.back() <= t0 ? t0 + 1.0 : times.back();
+  auto render = [&](const Series& s) {
     std::vector<const EvidenceWindow*> shaded;
     for (const EvidenceWindow& ev : diagnosis.evidence) {
-      if (ev.series == timeline.series(i)) shaded.push_back(&ev);
+      if (ev.series == s.name) shaded.push_back(&ev);
     }
     std::vector<const ReportMeta::ResizeMark*> marks;
     for (const ReportMeta::ResizeMark& m : meta.resizes) {
-      for (const auto& kv : timeline.labels(i)) {
+      for (const auto& kv : s.labels) {
         if (kv.first == "pool" && kv.second == m.pool) {
           marks.push_back(&m);
           break;
         }
       }
     }
-    write_series_svg(os, timeline.window(i), timeline.series(i), shaded, marks,
-                     t0, t1);
+    write_series_svg(os, times, s, shaded, marks, t0, t1);
   };
-  auto tenant_of = [&timeline](std::size_t i) -> std::string {
-    for (const auto& kv : timeline.labels(i)) {
+  auto tenant_of = [](const Series& s) -> std::string {
+    for (const auto& kv : s.labels) {
       if (kv.first == "tenant") return kv.second;
     }
     return "";
@@ -359,12 +355,12 @@ void write_flight_recorder_html(std::ostream& os, const ReportMeta& meta,
   // Shared (tenant-less) series first; tenant-labelled ones are grouped into
   // one lane per tenant below so each tenant's goodput/badput/share read as
   // a unit against the shared pool picture above them.
-  for (std::size_t i = 0; i < timeline.series_count(); ++i) {
-    if (tenant_of(i).empty()) render(i);
+  for (const Series& s : timeline) {
+    if (tenant_of(s).empty()) render(s);
   }
   std::vector<std::string> tenant_order;
-  for (std::size_t i = 0; i < timeline.series_count(); ++i) {
-    const std::string t = tenant_of(i);
+  for (const Series& s : timeline) {
+    const std::string t = tenant_of(s);
     if (t.empty()) continue;
     if (std::find(tenant_order.begin(), tenant_order.end(), t) ==
         tenant_order.end()) {
@@ -373,8 +369,8 @@ void write_flight_recorder_html(std::ostream& os, const ReportMeta& meta,
   }
   for (const std::string& tname : tenant_order) {
     os << "<h2>Tenant " << escape_html(tname) << "</h2>\n";
-    for (std::size_t i = 0; i < timeline.series_count(); ++i) {
-      if (tenant_of(i) == tname) render(i);
+    for (const Series& s : timeline) {
+      if (tenant_of(s) == tname) render(s);
     }
   }
 

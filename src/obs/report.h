@@ -1,9 +1,9 @@
 #pragma once
 
 // Per-trial flight-recorder report: a single self-contained HTML file with
-// inline-SVG timelines for every tracked series (diagnoser evidence windows
-// shaded on the series they cite), the diagnosis table, and the per-tier
-// latency breakdown. This is the one sanctioned rendering path for timeline
+// inline-SVG timelines for every recorded series over the whole trial
+// (diagnoser evidence windows shaded on the series they cite), the diagnosis
+// table, and the per-tier latency breakdown. This is the one sanctioned rendering path for timeline
 // and diagnoser data (softres-lint SR008 bans stream writes in the detectors
 // themselves — a Diagnosis is data; this file turns it into pixels).
 //
@@ -64,8 +64,7 @@ void write_flight_recorder_html(std::ostream& os, const ReportMeta& meta,
                                 const TraceCollector* traces = nullptr);
 
 /// Convenience wrapper writing to `path`; returns false when the file cannot
-/// be opened (the caller decides whether that is fatal — the experiment
-/// driver just warns).
+/// be written (exp::Experiment turns that into an error naming the path).
 bool write_flight_recorder_html(const std::string& path,
                                 const ReportMeta& meta,
                                 const Timeline& timeline,

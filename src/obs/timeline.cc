@@ -1,200 +1,77 @@
 #include "obs/timeline.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cassert>
 
-#include "sim/sampler.h"
 #include "support/prof.h"
 
 namespace softres::obs {
 
-SeriesWindow::SeriesWindow(std::size_t capacity)
-    : times_(std::max<std::size_t>(capacity, 2), 0.0),
-      values_(std::max<std::size_t>(capacity, 2), 0.0) {}
-
-void SeriesWindow::push(sim::SimTime t, double v) {
-  times_[head_] = t;
-  values_[head_] = v;
-  head_ = (head_ + 1) % times_.size();
-  if (count_ < times_.size()) ++count_;
-}
-
-std::size_t SeriesWindow::index(std::size_t i) const {
-  // Oldest sample sits at head_ - count_ (mod capacity).
-  return (head_ + times_.size() - count_ + i) % times_.size();
-}
-
-double SeriesWindow::last() const {
-  return count_ == 0 ? 0.0 : values_[index(count_ - 1)];
-}
-
-sim::SimTime SeriesWindow::last_time() const {
-  return count_ == 0 ? 0.0 : times_[index(count_ - 1)];
-}
-
-sim::SimTime SeriesWindow::first_time() const {
-  return count_ == 0 ? 0.0 : times_[index(0)];
-}
-
-sim::SimTime SeriesWindow::time_at(std::size_t i) const {
-  return times_[index(i)];
-}
-
-double SeriesWindow::value_at(std::size_t i) const { return values_[index(i)]; }
-
-namespace {
-
-/// Apply `fn(t, v)` to every sample in the trailing window [last - w, last].
-template <typename Fn>
-void for_window(const SeriesWindow& s, double window_s, Fn fn) {
-  if (s.empty()) return;
-  const sim::SimTime lo = s.last_time() - window_s;
-  for (std::size_t i = s.size(); i-- > 0;) {
-    const sim::SimTime t = s.time_at(i);
-    if (t < lo) break;  // samples are time-ordered; everything older is out
-    fn(t, s.value_at(i));
+Timeline::Timeline(const Registry& registry, std::size_t ticks)
+    : readers_(registry.series()) {
+  times_.reserve(ticks);
+  series_.reserve(readers_.size());
+  for (const Reader& r : readers_) {
+    series_.push_back(
+        Series{r.name(), r.labels(), render_series(r.name(), r.labels()), {}});
+    series_.back().values.reserve(ticks);
   }
 }
 
-}  // namespace
-
-double SeriesWindow::mean_over(double window_s) const {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for_window(*this, window_s, [&](sim::SimTime, double v) {
-    sum += v;
-    ++n;
-  });
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
-}
-
-double SeriesWindow::max_over(double window_s) const {
-  double best = 0.0;
-  bool any = false;
-  for_window(*this, window_s, [&](sim::SimTime, double v) {
-    best = any ? std::max(best, v) : v;
-    any = true;
-  });
-  return best;
-}
-
-double SeriesWindow::min_over(double window_s) const {
-  double best = 0.0;
-  bool any = false;
-  for_window(*this, window_s, [&](sim::SimTime, double v) {
-    best = any ? std::min(best, v) : v;
-    any = true;
-  });
-  return best;
-}
-
-double SeriesWindow::slope_over(double window_s) const {
-  // Standard least squares on (t - t0, v) for numerical stability.
-  double st = 0.0, sv = 0.0, stt = 0.0, stv = 0.0;
-  std::size_t n = 0;
-  const sim::SimTime t0 = last_time() - window_s;
-  for_window(*this, window_s, [&](sim::SimTime t, double v) {
-    const double x = t - t0;
-    st += x;
-    sv += v;
-    stt += x * x;
-    stv += x * v;
-    ++n;
-  });
-  if (n < 2) return 0.0;
-  const double dn = static_cast<double>(n);
-  const double denom = dn * stt - st * st;
-  if (denom == 0.0) return 0.0;
-  return (dn * stv - st * sv) / denom;
-}
-
-double SeriesWindow::held_for(double threshold, bool at_least) const {
-  if (count_ == 0) return 0.0;
-  return last_time() - held_since(threshold, at_least);
-}
-
-sim::SimTime SeriesWindow::held_since(double threshold, bool at_least) const {
-  sim::SimTime since = last_time();
-  for (std::size_t i = count_; i-- > 0;) {
-    const double v = value_at(i);
-    const bool ok = at_least ? v >= threshold : v <= threshold;
-    if (!ok) break;
-    since = time_at(i);
+void Timeline::record(sim::SimTime now) {
+  SOFTRES_PROF_SCOPE(kTimeline);
+  assert(readers_.size() == series_.size());
+  times_.push_back(now);
+  for (std::size_t i = 0; i < series_.size(); ++i) {
+    series_[i].values.push_back(readers_[i].read(now));
   }
-  return since;
 }
 
-double cross_correlation(const SeriesWindow& a, const SeriesWindow& b,
-                         double window_s) {
-  // Pair samples from the newest backwards; both series are fed by the same
-  // tick so equal offsets from the end line up in time.
-  const std::size_t pairs = std::min(a.size(), b.size());
-  if (pairs < 3 || a.empty()) return 0.0;
-  const sim::SimTime lo = a.last_time() - window_s;
-  double sx = 0.0, sy = 0.0, sxx = 0.0, syy = 0.0, sxy = 0.0;
-  std::size_t n = 0;
-  for (std::size_t k = 0; k < pairs; ++k) {
-    const std::size_t ia = a.size() - 1 - k;
-    const std::size_t ib = b.size() - 1 - k;
-    if (a.time_at(ia) < lo) break;
-    const double x = a.value_at(ia);
-    const double y = b.value_at(ib);
-    sx += x;
-    sy += y;
-    sxx += x * x;
-    syy += y * y;
-    sxy += x * y;
-    ++n;
-  }
-  if (n < 3) return 0.0;
-  const double dn = static_cast<double>(n);
-  const double cov = sxy - sx * sy / dn;
-  const double vx = sxx - sx * sx / dn;
-  const double vy = syy - sy * sy / dn;
-  if (vx <= 0.0 || vy <= 0.0) return 0.0;
-  return cov / std::sqrt(vx * vy);
-}
-
-Timeline::Timeline(const Registry& registry, TimelineConfig cfg)
-    : registry_(&registry), cfg_(cfg) {}
-
-std::size_t Timeline::track(const std::string& name, Labels labels) {
-  Tracked t{name, labels, render_series(name, labels),
-            registry_->reader(name, labels), SeriesWindow(cfg_.capacity)};
-  tracked_.push_back(std::move(t));
-  return tracked_.size() - 1;
-}
-
-std::vector<std::size_t> Timeline::track_family(const std::string& name) {
-  std::vector<std::size_t> out;
-  for (Labels& labels : registry_->family(name)) {
-    out.push_back(track(name, std::move(labels)));
-  }
+Timeline Timeline::take() {
+  Timeline out;
+  out.times_ = std::move(times_);
+  out.series_ = std::move(series_);
+  *this = Timeline();
   return out;
 }
 
-void Timeline::tick(sim::SimTime now) {
-  SOFTRES_PROF_SCOPE(kTimeline);
-  for (Tracked& t : tracked_) {
-    t.window.push(now, t.reader.read(now));
-  }
-  ++ticks_;
-  last_tick_ = now;
-}
-
-void Timeline::attach(sim::Sampler& sampler) {
-  sampler.add_probe("obs.timeline", [this](sim::SimTime now) {
-    tick(now);
-    return static_cast<double>(series_count());
-  });
-}
-
-const SeriesWindow* Timeline::find(const std::string& name,
-                                   const Labels& labels) const {
-  for (const Tracked& t : tracked_) {
-    if (t.name == name && t.labels == labels) return &t.window;
+const Series* Timeline::find_series(const std::string& family,
+                                    const Labels& labels) const {
+  for (const Series& s : series_) {
+    if (s.family == family && s.labels == labels) return &s;
   }
   return nullptr;
+}
+
+std::span<const double> Timeline::window(const Series& s, sim::SimTime lo,
+                                         sim::SimTime hi) const {
+  // The time column is ascending, so [lo, hi) is one contiguous run.
+  const auto first = std::lower_bound(times_.begin(), times_.end(), lo);
+  const auto last = std::lower_bound(first, times_.end(), hi);
+  return std::span<const double>(s.values).subspan(
+      static_cast<std::size_t>(first - times_.begin()),
+      static_cast<std::size_t>(last - first));
+}
+
+double Timeline::mean_between(const Series& s, sim::SimTime lo,
+                              sim::SimTime hi) const {
+  const std::span<const double> w = window(s, lo, hi);
+  double sum = 0.0;
+  for (const double v : w) sum += v;
+  return w.empty() ? 0.0 : sum / static_cast<double>(w.size());
+}
+
+double Timeline::trailing_mean(std::size_t i, double window_s) const {
+  if (times_.empty()) return 0.0;
+  const std::vector<double>& v = series_[i].values;
+  const sim::SimTime lo = times_.back() - window_s;
+  double sum = 0.0;
+  std::size_t n = 0;
+  for (std::size_t k = times_.size(); k-- > 0 && times_[k] >= lo;) {
+    sum += v[k];
+    ++n;
+  }
+  return n == 0 ? 0.0 : sum / static_cast<double>(n);
 }
 
 }  // namespace softres::obs

@@ -1,147 +1,84 @@
 #pragma once
 
-// Streaming windowed view of registry series: the data structure the online
-// pathology diagnoser (obs/diagnoser.h) reads. A Timeline tracks a chosen set
-// of registry series into fixed-capacity ring buffers, fed at sampler ticks,
-// and answers rolling-window questions — mean, max, min, least-squares slope,
-// how long a condition has held, and cross-correlation between two series —
-// without ever materializing a full registry snapshot per tick.
+// The per-trial time-series store: every registry counter and gauge, read
+// once per sampling tick for the whole trial. One shared time column plus one
+// value column per series, all reserved once from the trial horizon at the
+// sampling cadence (1 s in the testbed: the paper's SysStat granularity).
+// The diagnoser, the flight-recorder report, Experiment's condensed CPU and
+// pool stats and RunResult::series all read this one table.
 //
 // Rendering contract (enforced by softres-lint rule SR008): timeline and
 // diagnoser code never writes to streams; all human-facing output goes
 // through obs/report.h.
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "obs/registry.h"
 #include "sim/sim_time.h"
 
-namespace softres::sim {
-class Sampler;
-}
-
 namespace softres::obs {
 
-/// Fixed-capacity ring buffer of (time, value) samples with rolling-window
-/// statistics. Windows are trailing: "over the last `window_s` seconds up to
-/// the newest sample". All statistics are pure functions of the buffered
-/// samples, so they are bit-identical across serial and parallel sweeps.
-class SeriesWindow {
- public:
-  explicit SeriesWindow(std::size_t capacity);
+/// One recorded series: its registry identity and its value column, aligned
+/// index for index with the owning Timeline's time column.
+struct Series {
+  std::string family;  // registry metric name ("pool_util_pct")
+  Labels labels;
+  std::string name;    // rendered "family{k=\"v\"}", as cited in evidence
+  std::vector<double> values;
 
-  void push(sim::SimTime t, double v);
-
-  std::size_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
-  std::size_t capacity() const { return times_.size(); }
-
-  /// Newest / oldest retained sample (0 when empty).
-  double last() const;
-  sim::SimTime last_time() const;
-  sim::SimTime first_time() const;
-
-  /// i-th retained sample, oldest first (i < size()).
-  sim::SimTime time_at(std::size_t i) const;
-  double value_at(std::size_t i) const;
-
-  double mean_over(double window_s) const;
-  double max_over(double window_s) const;
-  double min_over(double window_s) const;
-
-  /// Least-squares slope (value units per second) over the trailing window;
-  /// 0 when fewer than two samples fall inside it.
-  double slope_over(double window_s) const;
-
-  /// Seconds the *newest contiguous run* of samples has satisfied
-  /// (value >= threshold) — or (value <= threshold) with `at_least=false`.
-  /// Returns the span from the first sample of the run to the newest sample;
-  /// 0 when the newest sample itself fails the predicate.
-  double held_for(double threshold, bool at_least = true) const;
-
-  /// Start time of the run measured by held_for (newest sample's time when
-  /// the run is empty).
-  sim::SimTime held_since(double threshold, bool at_least = true) const;
-
- private:
-  std::size_t index(std::size_t i) const;  // oldest-first -> ring position
-
-  std::vector<sim::SimTime> times_;
-  std::vector<double> values_;
-  std::size_t head_ = 0;   // next write position
-  std::size_t count_ = 0;  // retained samples (<= capacity)
+  std::size_t size() const { return values.size(); }
 };
 
-/// Pearson correlation of two series over their common trailing window,
-/// pairing samples by index from the newest backwards (both series are fed by
-/// the same sampler tick, so indices align). Returns 0 when either side is
-/// constant or fewer than three pairs fall in the window.
-double cross_correlation(const SeriesWindow& a, const SeriesWindow& b,
-                         double window_s);
-
-struct TimelineConfig {
-  /// Ring entries per tracked series. At the 1 Hz sampler cadence the default
-  /// retains ~4 minutes — enough for every detector window while bounding
-  /// memory per trial.
-  std::size_t capacity = 256;
-};
-
-/// The per-trial windowed time-series store. Track individual series (or
-/// whole families) after the testbed registered its probes, attach to the
-/// sampler, and the timeline polls each tracked series' Reader once per tick.
+/// The trial's time-series store. The testbed builds it once every probe is
+/// registered and records it from its 1 s tick; readers look series up by
+/// family and labels.
 class Timeline {
  public:
-  explicit Timeline(const Registry& registry, TimelineConfig cfg = {});
+  /// An empty store with no series.
+  Timeline() = default;
 
-  Timeline(const Timeline&) = delete;
-  Timeline& operator=(const Timeline&) = delete;
+  /// One column per counter and gauge registered on `registry` so far, in
+  /// registration order, each reserved for `ticks` samples. Series
+  /// registered later are not recorded.
+  Timeline(const Registry& registry, std::size_t ticks);
 
-  /// Track one registry series; returns its index (stable for the timeline's
-  /// lifetime). Unknown series are tracked anyway and read as 0.
-  std::size_t track(const std::string& name, Labels labels = {});
+  /// Read every series once at `now`, in registration order, and append the
+  /// values. Only valid while the registry the store was built over lives.
+  void record(sim::SimTime now);
 
-  /// Track every series currently registered under family `name`; returns
-  /// the new indices in registration order.
-  std::vector<std::size_t> track_family(const std::string& name);
+  /// Move the columns out into a store that no longer refers to the
+  /// registry (RunResult::series outlives the trial's registry), leaving
+  /// this one empty.
+  Timeline take();
 
-  /// Poll every tracked series once. Called by the sampler probe installed by
-  /// attach(), or directly by tests.
-  void tick(sim::SimTime now);
+  std::size_t size() const { return series_.size(); }
+  std::size_t ticks() const { return times_.size(); }
+  const std::vector<sim::SimTime>& times() const { return times_; }
+  const Series& operator[](std::size_t i) const { return series_[i]; }
+  std::vector<Series>::const_iterator begin() const { return series_.begin(); }
+  std::vector<Series>::const_iterator end() const { return series_.end(); }
 
-  /// Register one probe ("obs.timeline") on the sampler whose evaluation
-  /// ticks this timeline; its series value is the number of tracked series.
-  void attach(sim::Sampler& sampler);
+  /// Series `family{labels}`, or nullptr when it is not recorded.
+  const Series* find_series(const std::string& family,
+                            const Labels& labels = {}) const;
 
-  std::size_t series_count() const { return tracked_.size(); }
-  std::size_t ticks() const { return ticks_; }
-  sim::SimTime last_tick() const { return last_tick_; }
-
-  const SeriesWindow& window(std::size_t i) const { return tracked_[i].window; }
-  const std::string& name(std::size_t i) const { return tracked_[i].name; }
-  const Labels& labels(std::size_t i) const { return tracked_[i].labels; }
-  /// Rendered "name{k=\"v\"}" identity, as cited in evidence windows.
-  const std::string& series(std::size_t i) const { return tracked_[i].series; }
-
-  /// Window of a tracked series, or nullptr when it is not tracked.
-  const SeriesWindow* find(const std::string& name,
-                           const Labels& labels = {}) const;
+  /// Samples of `s` with lo <= t < hi, oldest first.
+  std::span<const double> window(const Series& s, sim::SimTime lo,
+                                 sim::SimTime hi) const;
+  /// Mean of window(s, lo, hi), summed oldest first; 0 when empty.
+  double mean_between(const Series& s, sim::SimTime lo,
+                      sim::SimTime hi) const;
+  /// Mean of series `i` over the trailing window [newest - window_s,
+  /// newest], summed newest first; 0 when nothing is recorded.
+  double trailing_mean(std::size_t i, double window_s) const;
 
  private:
-  struct Tracked {
-    std::string name;
-    Labels labels;
-    std::string series;  // rendered name{labels}
-    Reader reader;
-    SeriesWindow window;
-  };
-
-  const Registry* registry_;
-  TimelineConfig cfg_;
-  std::vector<Tracked> tracked_;
-  std::size_t ticks_ = 0;
-  sim::SimTime last_tick_ = 0.0;
+  std::vector<Reader> readers_;  // one per series while recording
+  std::vector<sim::SimTime> times_;
+  std::vector<Series> series_;
 };
 
 }  // namespace softres::obs

@@ -5,40 +5,22 @@
 
 namespace softres::soft {
 
-std::size_t add_pool_util_probe(sim::Sampler& sampler, const std::string& name,
-                                const Pool& pool) {
-  const Pool* p = &pool;
-  return sampler.add_probe(
-      name, [p](sim::SimTime) { return 100.0 * p->utilization(); });
-}
-
-std::size_t add_pool_waiters_probe(sim::Sampler& sampler,
-                                   const std::string& name, const Pool& pool) {
-  const Pool* p = &pool;
-  return sampler.add_probe(
-      name, [p](sim::SimTime) { return static_cast<double>(p->waiting()); });
-}
-
-sim::Histogram utilization_density(const sim::TimeSeries& series,
-                                   sim::SimTime lo, sim::SimTime hi,
+sim::Histogram utilization_density(std::span<const double> samples,
                                    std::size_t bins) {
   sim::Histogram h(0.0, 100.0, bins);
   // Exactly-100% samples belong in the top bin, not the overflow counter.
   const double top = std::nextafter(100.0, 0.0);
-  for (double v : series.window(lo, hi)) h.add(std::min(v, top));
+  for (double v : samples) h.add(std::min(v, top));
   return h;
 }
 
-bool is_saturated(const sim::TimeSeries& series, sim::SimTime lo,
-                  sim::SimTime hi, double threshold_pct, double fraction) {
-  std::size_t total = 0;
-  std::size_t above = 0;
-  for (double v : series.window(lo, hi)) {
-    ++total;
-    if (v >= threshold_pct) ++above;
-  }
-  if (total == 0) return false;
-  return static_cast<double>(above) >= fraction * static_cast<double>(total);
+bool is_saturated(std::span<const double> samples, double threshold_pct,
+                  double fraction) {
+  if (samples.empty()) return false;
+  const auto above = std::count_if(samples.begin(), samples.end(),
+                                   [&](double v) { return v >= threshold_pct; });
+  return static_cast<double>(above) >=
+         fraction * static_cast<double>(samples.size());
 }
 
 }  // namespace softres::soft

@@ -1,37 +1,24 @@
 #pragma once
 
-#include <string>
-#include <vector>
+#include <cstddef>
+#include <span>
 
-#include "sim/sampler.h"
 #include "sim/stats.h"
-#include "soft/pool.h"
 
 namespace softres::soft {
 
-/// Register a probe sampling a pool's occupancy in percent of capacity. The
-/// resulting series feeds the paper's utilization-density analysis
-/// (Fig 4 b/c/e/f), which reveals soft-resource saturation that hardware
-/// monitors cannot see.
-std::size_t add_pool_util_probe(sim::Sampler& sampler, const std::string& name,
-                                const Pool& pool);
-
-/// Register a probe sampling a pool's queued acquirers.
-std::size_t add_pool_waiters_probe(sim::Sampler& sampler,
-                                   const std::string& name, const Pool& pool);
-
-/// Build the probability-density view the paper plots: a histogram over
-/// utilization [0,100]% of the per-second samples within [lo, hi).
-sim::Histogram utilization_density(const sim::TimeSeries& series,
-                                   sim::SimTime lo, sim::SimTime hi,
+/// Build the probability-density view the paper plots (Fig 4 b/c/e/f): a
+/// histogram over utilization [0,100]% of per-second pool occupancy samples
+/// (one recorded pool_util_pct window). The density reveals soft-resource
+/// saturation that hardware monitors cannot see.
+sim::Histogram utilization_density(std::span<const double> samples,
                                    std::size_t bins = 20);
 
 /// A soft resource counts as saturated over a window when its occupancy sat
 /// at >= `threshold` percent for at least `fraction` of the samples. This is
 /// the detection rule the allocation algorithm's RunExperiment applies to
 /// soft resources, mirroring the hardware CPU rule.
-bool is_saturated(const sim::TimeSeries& series, sim::SimTime lo,
-                  sim::SimTime hi, double threshold_pct = 98.0,
+bool is_saturated(std::span<const double> samples, double threshold_pct = 98.0,
                   double fraction = 0.6);
 
 }  // namespace softres::soft

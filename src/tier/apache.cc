@@ -148,24 +148,4 @@ void ApacheServer::register_soft_resources(soft::ResizablePoolSet& set) {
   set.add(workers_, soft::PoolRole::kWebWorkers, /*floor=*/2);
 }
 
-void add_apache_timeline_probes(sim::Sampler& sampler, ApacheServer& apache) {
-  ApacheServer* a = &apache;
-  const std::string prefix = apache.name();
-  sampler.add_probe(prefix + ".processed", [a](sim::SimTime t) {
-    return a->sample_window(t).processed_requests;
-  });
-  sampler.add_probe(prefix + ".pt_total_ms", [a](sim::SimTime t) {
-    return a->sample_window(t).pt_total_ms;
-  });
-  sampler.add_probe(prefix + ".pt_tomcat_ms", [a](sim::SimTime t) {
-    return a->sample_window(t).pt_tomcat_ms;
-  });
-  sampler.add_probe(prefix + ".threads_active", [a](sim::SimTime t) {
-    return a->sample_window(t).threads_active;
-  });
-  sampler.add_probe(prefix + ".threads_connecting", [a](sim::SimTime t) {
-    return a->sample_window(t).threads_connecting;
-  });
-}
-
 }  // namespace softres::tier

@@ -5,7 +5,6 @@
 #include "hw/link.h"
 #include "hw/node.h"
 #include "net/tcp.h"
-#include "sim/sampler.h"
 #include "soft/pool.h"
 #include "tier/request.h"
 #include "tier/server.h"
@@ -98,10 +97,5 @@ class ApacheServer : public Server {
   sim::SimTime cached_sample_time_ = -1.0;
   TimelineSample cached_sample_;
 };
-
-/// Register the five Fig 7/8 series on a sampler. Series names are prefixed
-/// with the server name: "<name>.processed", ".pt_total_ms", ".pt_tomcat_ms",
-/// ".threads_active", ".threads_connecting".
-void add_apache_timeline_probes(sim::Sampler& sampler, ApacheServer& apache);
 
 }  // namespace softres::tier

@@ -68,11 +68,10 @@ void ClientFarm::bind_registry(obs::Registry& registry) {
   registry.gauge_fn(
       "client_active_users",
       [this](sim::SimTime) { return static_cast<double>(started_users_); },
-      {}, "Closed-loop sessions currently active", "client.active_users");
+      {}, "Closed-loop sessions currently active");
   registry.gauge_fn(
       "client_load", [this](sim::SimTime) { return client_load(); }, {},
-      "Started-user fraction of client capacity (drives the FIN-delay model)",
-      "client.load");
+      "Started-user fraction of client capacity (drives the FIN-delay model)");
   // Per-tenant SLA lanes. goodput/badput are interval rates over the sampler
   // window (see sample_tenant_window); active_users is instantaneous. The
   // noisy-neighbor detector reads tenant_badput to find victims.

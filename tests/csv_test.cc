@@ -5,26 +5,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace softres::metrics {
 namespace {
-
-TEST(CsvTest, SeriesColumnsAligned) {
-  sim::TimeSeries a{"cpu", {1.0, 2.0, 3.0}, {10.0, 20.0, 30.0}};
-  sim::TimeSeries b{"gc", {1.0, 2.0, 3.0}, {1.0, 2.0, 3.0}};
-  std::ostringstream os;
-  write_series_csv(os, {&a, &b});
-  EXPECT_EQ(os.str(),
-            "time,cpu,gc\n1,10,1\n2,20,2\n3,30,3\n");
-}
-
-TEST(CsvTest, ShorterSeriesPadded) {
-  sim::TimeSeries a{"x", {1.0, 2.0}, {5.0, 6.0}};
-  sim::TimeSeries b{"y", {1.0}, {7.0}};
-  std::ostringstream os;
-  write_series_csv(os, {&a, &b});
-  EXPECT_EQ(os.str(), "time,x,y\n1,5,7\n2,6,\n");
-}
 
 TEST(CsvTest, XyColumns) {
   std::ostringstream os;
@@ -53,9 +38,33 @@ TEST(CsvTest, ExportWritesFile) {
   std::remove(("/tmp/" + name).c_str());
 }
 
+// A directory that does not exist is an error naming the path, not a
+// silently skipped export.
 TEST(CsvTest, ExportFailsOnBadDirectory) {
-  EXPECT_FALSE(export_csv("/nonexistent_dir_softres", "x.csv",
-                          [](std::ostream&) {}));
+  ::unsetenv("SOFTRES_CSV_DIR");
+  try {
+    export_csv("/nonexistent_dir_softres", "x.csv", [](std::ostream&) {});
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("/nonexistent_dir_softres/x.csv"), std::string::npos);
+    EXPECT_EQ(what.find("SOFTRES_CSV_DIR"), std::string::npos);
+  }
+}
+
+// ...and names the variable when the directory came from the environment.
+TEST(CsvTest, ExportFailureNamesEnvVariable) {
+  ::setenv("SOFTRES_CSV_DIR", "/nonexistent_dir_softres", 1);
+  try {
+    export_csv(csv_dir_from_env(), "x.csv", [](std::ostream&) {});
+    ::unsetenv("SOFTRES_CSV_DIR");
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    ::unsetenv("SOFTRES_CSV_DIR");
+    const std::string what = e.what();
+    EXPECT_NE(what.find("/nonexistent_dir_softres/x.csv"), std::string::npos);
+    EXPECT_NE(what.find("SOFTRES_CSV_DIR"), std::string::npos);
+  }
 }
 
 }  // namespace

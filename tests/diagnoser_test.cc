@@ -1,7 +1,7 @@
-// Tests for the online pathology diagnoser stack: SeriesWindow ring-buffer
-// statistics, Timeline tracking, the per-pathology detector rules driven by a
+// Tests for the online pathology diagnoser stack: the time-series store's
+// columns and window statistics, the per-pathology detector rules driven by a
 // synthetic registry, the Registry::reset_values() between-trials regression,
-// and the golden list of legacy dotted sampler aliases.
+// and the golden list of probe families every trial records.
 
 #include <gtest/gtest.h>
 
@@ -15,103 +15,50 @@
 #include "obs/diagnoser.h"
 #include "obs/registry.h"
 #include "obs/timeline.h"
-#include "sim/sampler.h"
+#include "sim/rng.h"
 
 namespace softres::obs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// SeriesWindow
+// Window statistics of the store
 
-TEST(SeriesWindowTest, RingBufferKeepsNewestCapacitySamples) {
-  SeriesWindow w(4);
-  EXPECT_TRUE(w.empty());
-  for (int t = 0; t < 6; ++t) w.push(t, 10.0 * t);
-  EXPECT_EQ(w.size(), 4u);
-  EXPECT_EQ(w.capacity(), 4u);
-  // Oldest-first iteration starts at the oldest *retained* sample.
-  EXPECT_DOUBLE_EQ(w.first_time(), 2.0);
-  EXPECT_DOUBLE_EQ(w.time_at(0), 2.0);
-  EXPECT_DOUBLE_EQ(w.value_at(0), 20.0);
-  EXPECT_DOUBLE_EQ(w.time_at(3), 5.0);
-  EXPECT_DOUBLE_EQ(w.value_at(3), 50.0);
-  EXPECT_DOUBLE_EQ(w.last(), 50.0);
-  EXPECT_DOUBLE_EQ(w.last_time(), 5.0);
-}
+/// A one-gauge store recorded at t = 0..n-1 with values v(t).
+struct OneSeries {
+  template <typename Fn>
+  OneSeries(int n, Fn v) : gauge(registry.gauge("x")), tl(registry, 16) {
+    for (int t = 0; t < n; ++t) {
+      gauge.set(v(t));
+      tl.record(t);
+    }
+  }
+  Registry registry;
+  Gauge gauge;
+  Timeline tl;
+};
 
 TEST(SeriesWindowTest, RollingStatisticsOverTrailingWindow) {
-  SeriesWindow w(16);
-  for (int t = 0; t <= 5; ++t) w.push(t, 2.0 * t);  // 0 2 4 6 8 10
+  const OneSeries one(6, [](int t) { return 2.0 * t; });  // 0 2 4 6 8 10
   // A 2 s trailing window from t=5 holds the samples at t=3,4,5.
-  EXPECT_DOUBLE_EQ(w.mean_over(2.0), 8.0);
-  EXPECT_DOUBLE_EQ(w.max_over(2.0), 10.0);
-  EXPECT_DOUBLE_EQ(w.min_over(2.0), 6.0);
-  // The full series is the line v = 2t.
-  EXPECT_NEAR(w.slope_over(100.0), 2.0, 1e-12);
-  // A window too narrow for two samples has no slope.
-  EXPECT_DOUBLE_EQ(w.slope_over(0.5), 0.0);
-}
-
-TEST(SeriesWindowTest, HeldForMeasuresNewestContiguousRun) {
-  SeriesWindow w(16);
-  w.push(0.0, 1.0);
-  w.push(1.0, 5.0);
-  w.push(2.0, 6.0);
-  w.push(3.0, 7.0);
-  EXPECT_DOUBLE_EQ(w.held_for(5.0), 2.0);  // run started at t=1
-  EXPECT_DOUBLE_EQ(w.held_since(5.0), 1.0);
-  // The newest sample failing the predicate resets the run.
-  w.push(4.0, 2.0);
-  EXPECT_DOUBLE_EQ(w.held_for(5.0), 0.0);
-  // Flipped predicate: value <= threshold.
-  EXPECT_DOUBLE_EQ(w.held_for(2.0, /*at_least=*/false), 0.0);
-}
-
-TEST(SeriesWindowTest, CrossCorrelationSigns) {
-  SeriesWindow a(16), up(16), down(16), flat(16);
-  for (int t = 0; t <= 5; ++t) {
-    a.push(t, t);
-    up.push(t, 3.0 * t + 1.0);
-    down.push(t, 5.0 - t);
-    flat.push(t, 2.0);
-  }
-  EXPECT_NEAR(cross_correlation(a, up, 100.0), 1.0, 1e-12);
-  EXPECT_NEAR(cross_correlation(a, down, 100.0), -1.0, 1e-12);
-  // A constant side has zero variance: defined as uncorrelated.
-  EXPECT_DOUBLE_EQ(cross_correlation(a, flat, 100.0), 0.0);
+  EXPECT_DOUBLE_EQ(one.tl.trailing_mean(0, 2.0), 8.0);
+  // A window wider than the data covers every sample.
+  EXPECT_DOUBLE_EQ(one.tl.trailing_mean(0, 100.0), 5.0);
+  // [lo, hi) windows: t=1,2 only.
+  EXPECT_DOUBLE_EQ(one.tl.mean_between(one.tl[0], 1.0, 3.0), 3.0);
 }
 
 TEST(SeriesWindowTest, StatisticsDegradeGracefullyOnShortSeries) {
-  // Fewer samples than a statistic needs must read as "no signal" (0), not
-  // extrapolate: detectors call these on windows that are still filling.
-  SeriesWindow w(16);
-  EXPECT_DOUBLE_EQ(w.slope_over(10.0), 0.0);  // empty
-  w.push(1.0, 5.0);
-  EXPECT_DOUBLE_EQ(w.slope_over(10.0), 0.0);  // one sample: no slope
-  EXPECT_DOUBLE_EQ(w.held_for(1.0), 0.0);     // single sample: zero-width run
-  w.push(2.0, 7.0);
-  // Two samples are enough for a slope even when the requested window is far
-  // wider than the data actually buffered.
-  EXPECT_NEAR(w.slope_over(1000.0), 2.0, 1e-12);
-
-  // cross_correlation needs three aligned pairs inside the window.
-  SeriesWindow a(16), b(16);
-  EXPECT_DOUBLE_EQ(cross_correlation(a, b, 100.0), 0.0);  // both empty
-  a.push(1.0, 1.0);
-  b.push(1.0, 2.0);
-  a.push(2.0, 2.0);
-  b.push(2.0, 4.0);
-  EXPECT_DOUBLE_EQ(cross_correlation(a, b, 100.0), 0.0);  // two pairs
-  a.push(3.0, 3.0);
-  b.push(3.0, 6.0);
-  EXPECT_NEAR(cross_correlation(a, b, 100.0), 1.0, 1e-12);  // three pairs
-  // One side shorter than the other: pairing from the newest backwards
-  // bounds the pair count by the shorter series.
-  SeriesWindow c(16);
-  c.push(3.0, 1.0);
-  EXPECT_DOUBLE_EQ(cross_correlation(a, c, 100.0), 0.0);
-  // A lag window narrower than the sample spacing holds at most one pair.
-  EXPECT_DOUBLE_EQ(cross_correlation(a, b, 0.5), 0.0);
+  // Fewer samples than a window asks for must read as the mean of what is
+  // there, and nothing recorded as 0 — detectors read windows that are
+  // still filling.
+  const OneSeries empty(0, [](int) { return 1.0; });
+  EXPECT_DOUBLE_EQ(empty.tl.trailing_mean(0, 10.0), 0.0);
+  EXPECT_DOUBLE_EQ(empty.tl.mean_between(empty.tl[0], 0.0, 10.0), 0.0);
+  EXPECT_TRUE(empty.tl.window(empty.tl[0], 0.0, 10.0).empty());
+  const OneSeries one(1, [](int) { return 5.0; });
+  EXPECT_DOUBLE_EQ(one.tl.trailing_mean(0, 10.0), 5.0);
+  // A window that misses every sample is empty, not an extrapolation.
+  EXPECT_DOUBLE_EQ(one.tl.mean_between(one.tl[0], 3.0, 9.0), 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -121,41 +68,112 @@ TEST(TimelineTest, TracksFamiliesAndPolledSeries) {
   Registry r;
   Gauge t0 = r.gauge("pool_util_pct", {{"pool", "tomcat0.threads"}});
   Gauge a0 = r.gauge("pool_util_pct", {{"pool", "apache0.workers"}});
-  Timeline tl(r);
-  const std::vector<std::size_t> idx = tl.track_family("pool_util_pct");
-  ASSERT_EQ(idx.size(), 2u);
-  EXPECT_EQ(tl.series_count(), 2u);
-  EXPECT_EQ(tl.series(idx[0]), "pool_util_pct{pool=\"tomcat0.threads\"}");
+  r.gauge_fn("poll", [](sim::SimTime now) { return 2.0 * now; });
+  Timeline tl(r, 8);
+  ASSERT_EQ(tl.size(), 3u);
+  EXPECT_EQ(tl[0].family, "pool_util_pct");
+  EXPECT_EQ(tl[0].name, "pool_util_pct{pool=\"tomcat0.threads\"}");
+  EXPECT_EQ(tl[2].name, "poll");
 
   t0.set(80.0);
   a0.set(40.0);
-  tl.tick(1.0);
+  tl.record(1.0);
   t0.set(90.0);
-  tl.tick(2.0);
+  tl.record(2.0);
   EXPECT_EQ(tl.ticks(), 2u);
-  EXPECT_DOUBLE_EQ(tl.last_tick(), 2.0);
+  EXPECT_DOUBLE_EQ(tl.times().back(), 2.0);
 
-  const SeriesWindow* w =
-      tl.find("pool_util_pct", {{"pool", "tomcat0.threads"}});
+  const Series* w =
+      tl.find_series("pool_util_pct", {{"pool", "tomcat0.threads"}});
   ASSERT_NE(w, nullptr);
-  ASSERT_EQ(w->size(), 2u);
-  EXPECT_DOUBLE_EQ(w->value_at(0), 80.0);
-  EXPECT_DOUBLE_EQ(w->last(), 90.0);
-  EXPECT_EQ(tl.find("pool_util_pct", {{"pool", "nope"}}), nullptr);
+  EXPECT_EQ(w->values, (std::vector<double>{80.0, 90.0}));
+  EXPECT_EQ(tl.find_series("pool_util_pct", {{"pool", "apache0.workers"}}),
+            &tl[1]);
+  EXPECT_EQ(tl.find_series("poll")->values, (std::vector<double>{2.0, 4.0}));
+  EXPECT_EQ(tl.find_series("pool_util_pct", {{"pool", "nope"}}), nullptr);
 }
 
 TEST(TimelineTest, UnknownSeriesReadsZero) {
+  EXPECT_DOUBLE_EQ(Reader().read(1.0), 0.0);  // a handle on no series
   Registry r;
-  Timeline tl(r);
+  Timeline tl(r, 1);
+  tl.record(1.0);
   // SOFTRES_LINT_ALLOW(SR013: this test exercises the unknown-series path)
-  const std::size_t i = tl.track("does_not_exist");
-  tl.tick(1.0);
-  EXPECT_DOUBLE_EQ(tl.window(i).last(), 0.0);
+  EXPECT_EQ(tl.find_series("does_not_exist"), nullptr);
+}
+
+// The store keeps the whole trial — all 1,230 ticks of the paper-length
+// schedule — in the columns reserved up front, with no regrowth.
+TEST(TimelineTest, KeepsWholeTrialInReservedColumns) {
+  Registry r;
+  Gauge g = r.gauge("x");
+  Timeline tl(r, 1230);  // the paper-length schedule: 480 + 720 + 30 s
+  const double* column = tl[0].values.data();
+  const sim::SimTime* times = tl.times().data();
+  for (int t = 1; t <= 1230; ++t) {
+    g.set(t);
+    tl.record(t);
+  }
+  ASSERT_EQ(tl.ticks(), 1230u);
+  EXPECT_EQ(tl[0].values.data(), column);
+  EXPECT_EQ(tl.times().data(), times);
+  EXPECT_DOUBLE_EQ(tl.times().front(), 1.0);
+  EXPECT_DOUBLE_EQ(tl[0].values.front(), 1.0);
+  EXPECT_DOUBLE_EQ(tl.mean_between(tl[0], 1.0, 1231.0), 615.5);
+}
+
+// Oracle: the columns answer mean_between and the diagnoser's trailing mean
+// bit for bit like naive per-series (time, value) vectors summed in the same
+// order — oldest first over [lo, hi), newest first over the trailing window.
+TEST(TimelineTest, MeansMatchNaivePerSeriesVectors) {
+  sim::Rng rng(2718);
+  Registry r;
+  std::vector<Gauge> gauges;
+  for (int k = 0; k < 5; ++k) {
+    gauges.push_back(r.gauge("g", {{"k", std::to_string(k)}}));
+  }
+  Timeline tl(r, 200);
+  std::vector<sim::SimTime> times;
+  std::vector<std::vector<double>> naive(gauges.size());
+  for (int t = 1; t <= 200; ++t) {
+    for (std::size_t k = 0; k < gauges.size(); ++k) {
+      const double v = rng.uniform(0.0, 100.0);
+      gauges[k].set(v);
+      naive[k].push_back(v);
+    }
+    times.push_back(t);
+    tl.record(t);
+    for (std::size_t k = 0; k < gauges.size(); ++k) {
+      const double w = rng.uniform(1.0, 21.0);
+      double sum = 0.0;
+      std::size_t n = 0;
+      for (std::size_t i = times.size(); i-- > 0 && times[i] >= t - w;) {
+        sum += naive[k][i];
+        ++n;
+      }
+      ASSERT_EQ(tl.trailing_mean(k, w), sum / static_cast<double>(n));
+    }
+  }
+  for (int q = 0; q < 500; ++q) {
+    const std::size_t k = static_cast<std::size_t>(q) % gauges.size();
+    const double lo = rng.uniform(-5.0, 205.0);
+    const double hi = rng.uniform(lo, lo + 80.0);
+    double sum = 0.0;
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      if (times[i] >= lo && times[i] < hi) {
+        sum += naive[k][i];
+        ++n;
+      }
+    }
+    ASSERT_EQ(tl.mean_between(tl[k], lo, hi),
+              n ? sum / static_cast<double>(n) : 0.0);
+  }
 }
 
 // The double-poll regression: rate-style pull sources differentiate against
-// their previous call, so when the sampler probe and the Timeline both read
-// the same series in one tick, the second reader used to see dt = 0. The
+// their previous call, so a second reader at the same instant (the
+// end-of-trial snapshot taken at the last tick) would see dt = 0. The
 // registry memoizes one evaluation per timestamp.
 TEST(TimelineTest, PullSourceEvaluatedOncePerTimestamp) {
   Registry r;
@@ -164,7 +182,7 @@ TEST(TimelineTest, PullSourceEvaluatedOncePerTimestamp) {
     ++calls;
     return 2.0 * now;
   });
-  const Reader reader = r.reader("poll");
+  const Reader reader = r.series().front();
   ASSERT_TRUE(reader.valid());
   EXPECT_DOUBLE_EQ(reader.read(1.0), 2.0);
   EXPECT_DOUBLE_EQ(reader.read(1.0), 2.0);  // same instant: memoized
@@ -175,38 +193,36 @@ TEST(TimelineTest, PullSourceEvaluatedOncePerTimestamp) {
   r.reset_values();
   EXPECT_DOUBLE_EQ(reader.read(2.0), 4.0);
   EXPECT_EQ(calls, 3);
+  // A store tick and a snapshot at the same instant share one evaluation.
+  Timeline tl(r, 1);
+  tl.record(3.0);
+  EXPECT_DOUBLE_EQ(r.snapshot(3.0).find("poll")->value, 6.0);
+  EXPECT_EQ(calls, 4);
 }
 
-// A held_for run must not survive Registry::reset_values(): once the trial
-// boundary zeroes the gauge, the next tick pushes a failing sample and the
-// run restarts from scratch — no above-threshold credit leaks from trial 1
-// into trial 2's evidence windows.
+// A run of above-threshold samples must not survive
+// Registry::reset_values(): once the trial boundary zeroes the gauge, the
+// next tick records 0, so no above-threshold credit leaks from trial 1 into
+// trial 2's windows.
 TEST(TimelineTest, HeldForRunBreaksAcrossRegistryReset) {
   Registry r;
   Gauge util = r.gauge("pool_util_pct", {{"pool", "tomcat0.threads"}});
-  Timeline tl(r);
-  const std::vector<std::size_t> idx = tl.track_family("pool_util_pct");
-  ASSERT_EQ(idx.size(), 1u);
-  const std::size_t i = idx[0];
+  Timeline tl(r, 8);
 
   util.set(90.0);
-  tl.tick(1.0);
-  tl.tick(2.0);
-  tl.tick(3.0);
-  EXPECT_DOUBLE_EQ(tl.window(i).held_for(80.0), 2.0);  // run since t=1
-
+  tl.record(1.0);
+  tl.record(2.0);
+  tl.record(3.0);
   r.reset_values();  // the trial boundary: gauge now reads 0
-  tl.tick(4.0);
-  EXPECT_DOUBLE_EQ(tl.window(i).held_for(80.0), 0.0);
-  EXPECT_DOUBLE_EQ(tl.window(i).held_since(80.0), 4.0);
-
-  // Re-asserting the condition starts a *new* run at the first passing
-  // sample after the reset, with no credit for the pre-reset run.
+  tl.record(4.0);
   util.set(90.0);
-  tl.tick(5.0);
-  tl.tick(6.0);
-  EXPECT_DOUBLE_EQ(tl.window(i).held_for(80.0), 1.0);
-  EXPECT_DOUBLE_EQ(tl.window(i).held_since(80.0), 5.0);
+  tl.record(5.0);
+  tl.record(6.0);
+  EXPECT_EQ(tl[0].values,
+            (std::vector<double>{90.0, 90.0, 90.0, 0.0, 90.0, 90.0}));
+  // The trailing window after the reset averages the reset sample in and
+  // none of the pre-reset run.
+  EXPECT_DOUBLE_EQ(tl.trailing_mean(0, 2.0), 60.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -273,7 +289,7 @@ TEST(RegistryResetTest, RunContextResetMetricsClearsItsRegistry) {
 // probe registration, which is what Diagnoser::discover() keys on.
 class DiagnoserRig {
  public:
-  DiagnoserRig() : timeline_(registry_) {
+  DiagnoserRig() {
     apache_cpu_ = registry_.gauge("cpu_util_pct", {{"node", "apache0"}});
     tomcat_cpu_ = registry_.gauge("cpu_util_pct", {{"node", "tomcat0"}});
     tomcat_gc_ = registry_.gauge("gc_util_pct", {{"node", "tomcat0"}});
@@ -291,12 +307,7 @@ class DiagnoserRig {
         registry_.gauge("apache_threads_active", {{"server", "apache0"}});
     connecting_ =
         registry_.gauge("apache_threads_connecting", {{"server", "apache0"}});
-    for (const char* family :
-         {"cpu_util_pct", "gc_util_pct", "pool_util_pct", "pool_waiting",
-          "server_throughput", "apache_threads_active",
-          "apache_threads_connecting"}) {
-      timeline_.track_family(family);
-    }
+    timeline_ = Timeline(registry_, 64);
     diagnoser_ = std::make_unique<Diagnoser>(timeline_);
     healthy();
   }
@@ -333,7 +344,7 @@ class DiagnoserRig {
   void run_ticks(int n) {
     for (int i = 0; i < n; ++i) {
       now_ += 1.0;
-      timeline_.tick(now_);
+      timeline_.record(now_);
       diagnoser_->observe(now_);
     }
   }
@@ -514,39 +525,63 @@ TEST(DiagnoserTest, ConfidenceScalesWithEvidenceDuration) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden list: every register_* family keeps its legacy dotted sampler alias
-// byte-identical. Sampler::find is an exact string match, so a renamed alias
-// fails here before it breaks a figure script.
+// Golden list: every register_* family a trial records, by family and labels,
+// with nothing but registry series in the store.
 
-TEST(AliasGoldenTest, EveryProbeFamilyKeepsItsDottedAlias) {
+TEST(TimelineTest, RecordsEveryProbeFamily) {
   exp::TestbedConfig cfg = exp::TestbedConfig::defaults();
   cfg.hw = exp::HardwareConfig{1, 1, 1, 1};
   workload::ClientConfig client;
   client.users = 10;
   exp::Testbed bed(cfg, client);
+  const Timeline& tl = bed.timeline();
 
-  const std::vector<std::string> golden = {
-      // register_cpu_util: "<node>.cpu"
-      "apache0.cpu", "tomcat0.cpu", "cjdbc0.cpu", "mysql0.cpu",
-      // register_gc_util: "<server>.gc"
-      "tomcat0.gc", "cjdbc0.gc",
-      // register_pool: "<pool>.util" / ".waiting" / ".capacity"
-      "apache0.workers.util", "apache0.workers.waiting",
-      "apache0.workers.capacity", "tomcat0.threads.util",
-      "tomcat0.threads.waiting", "tomcat0.threads.capacity",
-      "tomcat0.dbconns.util", "tomcat0.dbconns.waiting",
-      "tomcat0.dbconns.capacity",
-      // register_server_ops: "<server>.tp" / ".rt"
-      "apache0.tp", "apache0.rt", "tomcat0.tp", "tomcat0.rt", "cjdbc0.tp",
-      "cjdbc0.rt", "mysql0.tp", "mysql0.rt",
+  const std::vector<std::pair<std::string, Labels>> golden = {
+      // register_cpu_util
+      {"cpu_util_pct", {{"node", "apache0"}}},
+      {"cpu_util_pct", {{"node", "tomcat0"}}},
+      {"cpu_util_pct", {{"node", "cjdbc0"}}},
+      {"cpu_util_pct", {{"node", "mysql0"}}},
+      // register_gc_util
+      {"gc_util_pct", {{"node", "tomcat0"}}},
+      {"gc_util_pct", {{"node", "cjdbc0"}}},
+      // register_pool
+      {"pool_util_pct", {{"pool", "apache0.workers"}}},
+      {"pool_waiting", {{"pool", "apache0.workers"}}},
+      {"pool_capacity", {{"pool", "apache0.workers"}}},
+      {"pool_util_pct", {{"pool", "tomcat0.threads"}}},
+      {"pool_waiting", {{"pool", "tomcat0.threads"}}},
+      {"pool_capacity", {{"pool", "tomcat0.threads"}}},
+      {"pool_util_pct", {{"pool", "tomcat0.dbconns"}}},
+      {"pool_waiting", {{"pool", "tomcat0.dbconns"}}},
+      {"pool_capacity", {{"pool", "tomcat0.dbconns"}}},
+      // register_server_ops
+      {"server_throughput", {{"server", "apache0"}}},
+      {"server_mean_rt_seconds", {{"server", "apache0"}}},
+      {"server_throughput", {{"server", "tomcat0"}}},
+      {"server_mean_rt_seconds", {{"server", "tomcat0"}}},
+      {"server_throughput", {{"server", "cjdbc0"}}},
+      {"server_mean_rt_seconds", {{"server", "cjdbc0"}}},
+      {"server_throughput", {{"server", "mysql0"}}},
+      {"server_mean_rt_seconds", {{"server", "mysql0"}}},
       // register_apache_timeline: the five Fig 7/8 series
-      "apache0.processed", "apache0.pt_total_ms", "apache0.pt_tomcat_ms",
-      "apache0.threads_active", "apache0.threads_connecting",
-      // the streaming-diagnosis probes wired by Testbed::build
-      "obs.timeline", "obs.diagnosis"};
-  for (const std::string& name : golden) {
-    EXPECT_NE(bed.sampler().find(name), nullptr) << "missing alias: " << name;
+      {"apache_processed_requests", {{"server", "apache0"}}},
+      {"apache_worker_busy_ms", {{"server", "apache0"}}},
+      {"apache_tomcat_interaction_ms", {{"server", "apache0"}}},
+      {"apache_threads_active", {{"server", "apache0"}}},
+      {"apache_threads_connecting", {{"server", "apache0"}}},
+      // ClientFarm::bind_registry
+      {"client_requests_total", {{"kind", "dynamic"}}},
+      {"client_requests_total", {{"kind", "static"}}},
+      {"client_active_users", {}},
+      {"client_load", {}}};
+  for (const auto& [family, labels] : golden) {
+    EXPECT_NE(tl.find_series(family, labels), nullptr)
+        << "missing series: " << render_series(family, labels);
   }
+  // Every counter and gauge, and nothing else: no probe-hook series.
+  EXPECT_EQ(tl.size(), golden.size());
+  EXPECT_EQ(tl.size(), bed.registry().series().size());
 }
 
 }  // namespace

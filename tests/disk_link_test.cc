@@ -4,9 +4,9 @@
 
 #include "hw/disk.h"
 #include "hw/link.h"
-#include "hw/monitor.h"
 #include "hw/node.h"
-#include "sim/sampler.h"
+#include "obs/probes.h"
+#include "obs/timeline.h"
 #include "sim/simulator.h"
 
 namespace softres::hw {
@@ -108,47 +108,48 @@ TEST(NodeTest, ProvidesCpuAndDisk) {
   EXPECT_TRUE(disk_done);
 }
 
+// The SysStat-style CPU probes as the testbed wires them: registered on a
+// Registry and recorded once per second by the time-series store.
+const obs::Series& record_seconds(sim::Simulator& sim, obs::Timeline& tl,
+                                  int seconds) {
+  for (int t = 1; t <= seconds; ++t) {
+    sim.schedule_at(t, [&sim, &tl] { tl.record(sim.now()); });
+  }
+  sim.run_until(seconds);
+  return tl[0];
+}
+
 TEST(MonitorTest, CpuUtilProbeMeasuresBusyFraction) {
   sim::Simulator sim;
-  Cpu cpu(sim, "c", 1);
-  sim::Sampler sampler(sim, 1.0);
-  add_cpu_util_probe(sampler, "c.util", cpu);
-  sampler.start();
+  NodeSpec spec;
+  spec.context_switch_coeff = 0.0;
+  Node node(sim, "c", spec, sim::Rng(1));
+  Cpu& cpu = node.cpu();
+  obs::Registry registry;
+  obs::register_cpu_util(registry, node);
+  obs::Timeline tl(registry, 4);
   // Busy exactly [0, 0.5] each period via repeated submissions.
   for (int t = 0; t < 4; ++t) {
     sim.schedule(t * 1.0, [&] { cpu.submit(0.5, [] {}); });
   }
-  sim.run_until(4.0);
-  const sim::TimeSeries* s = sampler.find("c.util");
-  ASSERT_NE(s, nullptr);
-  ASSERT_EQ(s->size(), 4u);
-  for (double v : s->values) EXPECT_NEAR(v, 50.0, 1.0);
+  const obs::Series& s = record_seconds(sim, tl, 4);
+  EXPECT_EQ(s.family, "cpu_util_pct");
+  ASSERT_EQ(s.size(), 4u);
+  for (double v : s.values) EXPECT_NEAR(v, 50.0, 1.0);
 }
 
 TEST(MonitorTest, GcUtilProbeIsolatesFreezeShare) {
   sim::Simulator sim;
   Cpu cpu(sim, "c", 1);
-  sim::Sampler sampler(sim, 1.0);
-  add_gc_util_probe(sampler, "c.gc", cpu);
-  sampler.start();
+  obs::Registry registry;
+  obs::register_gc_util(registry, "c", cpu);
+  obs::Timeline tl(registry, 2);
   sim.schedule(0.2, [&] { cpu.freeze(0.3); });
-  sim.run_until(2.0);
-  const sim::TimeSeries* s = sampler.find("c.gc");
-  ASSERT_EQ(s->size(), 2u);
-  EXPECT_NEAR(s->values[0], 30.0, 1.0);
-  EXPECT_NEAR(s->values[1], 0.0, 1e-9);
-}
-
-TEST(MonitorTest, LoadProbeCountsResidentJobs) {
-  sim::Simulator sim;
-  Cpu cpu(sim, "c", 1);
-  sim::Sampler sampler(sim, 1.0);
-  add_cpu_load_probe(sampler, "c.load", cpu);
-  sampler.start();
-  cpu.submit(10.0, [] {});
-  cpu.submit(10.0, [] {});
-  sim.run_until(1.0);
-  EXPECT_EQ(sampler.find("c.load")->values[0], 2.0);
+  const obs::Series& s = record_seconds(sim, tl, 2);
+  EXPECT_EQ(s.family, "gc_util_pct");
+  ASSERT_EQ(s.size(), 2u);
+  EXPECT_NEAR(s.values[0], 30.0, 1.0);
+  EXPECT_NEAR(s.values[1], 0.0, 1e-9);
 }
 
 }  // namespace

@@ -354,9 +354,13 @@ TEST(GovernorScenarioTest, KeepsJvmThreadCountsInSync) {
   std::size_t conns = 0;
   for (const auto& t : bed.tomcats()) conns += t->connection_pool().capacity();
   EXPECT_EQ(bed.cjdbcs()[0]->jvm().live_threads(), conns);
-  // The capacity gauge reached the timeline: resizes are visible to the
-  // diagnoser and the flight recorder (satellite: pool_capacity lane).
-  EXPECT_NE(bed.diagnoser().capacity_window("tomcat0.threads"), nullptr);
+  // The capacity gauge reached the store: resizes are visible to the
+  // diagnoser and the flight recorder (the pool_capacity lane).
+  const obs::Series* cap =
+      bed.timeline().find_series("pool_capacity", {{"pool", "tomcat0.threads"}});
+  ASSERT_NE(cap, nullptr);
+  EXPECT_EQ(cap->values.back(),
+            static_cast<double>(bed.tomcats()[0]->thread_pool().capacity()));
 }
 
 // Acceptance: governed trials are part of the determinism contract —

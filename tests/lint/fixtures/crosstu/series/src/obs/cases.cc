@@ -1,4 +1,5 @@
-// SR013 fixture: one typo'd lookup, one orphan registration; the exact and
+// SR013 fixture: two unsatisfiable lookups (a typo, and a label value looked
+// up as if it were a series name), one orphan registration; the exact and
 // fragment-compatible lookups must stay silent.
 
 namespace fix {
@@ -8,24 +9,22 @@ struct Str {
 };
 Str operator+(const Str& a, const char* b);
 
-struct Sampler {
-  void add_probe(const Str& name, int fn);
-};
 struct Registry {
   void counter(const Str& name);
+  void gauge_fn(const Str& name, int fn, const Str& label, const Str& help);
 };
 struct Timeline {
-  void reader(const Str& name);
-  void track(const Str& name);
+  void find_series(const Str& family);
 };
 
-void wire(Sampler& sampler, Registry& reg, Timeline& tl, const Str& prefix) {
-  sampler.add_probe("cpu_util_pct", 0);
-  sampler.add_probe(prefix + ".processed", 1);
+void wire(Registry& reg, Timeline& tl, const Str& prefix) {
+  reg.gauge_fn("cpu_util_pct", 0, "node0.cpu", "CPU percent");
+  reg.gauge_fn(prefix + "_processed", 1, "node0", "Completions");
   reg.counter("orphan.series");
-  tl.reader("cpu_util_pct");
-  tl.track("node0.processed");
-  tl.track("cpu_util_pc");
+  tl.find_series("cpu_util_pct");
+  tl.find_series("node0_processed");
+  tl.find_series("cpu_util_pc");
+  tl.find_series("node0.cpu");
 }
 
 }  // namespace fix

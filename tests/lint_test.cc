@@ -467,19 +467,20 @@ TEST(LintCrossTuTest, SeriesXrefGolden) {
   const auto a = lint::analyze_tree(SOFTRES_LINT_FIXTURE_DIR "/crosstu/series",
                                     {"src"});
   EXPECT_TRUE(a.errors.empty());
-  // The typo'd lookup is the only finding: the exact lookup matches its
-  // registration and the runtime-prefixed probe matches by suffix.
-  expect_triples(a.findings, {{"src/obs/cases.cc", 28, "SR013"}});
-  ASSERT_EQ(a.findings.size(), 1u);
+  // The typo'd lookup and the label value looked up as a series are the
+  // findings: only a registration's first literal names a series. The exact
+  // lookup matches its registration and the runtime-prefixed probe matches
+  // by suffix.
+  expect_triples(a.findings, {{"src/obs/cases.cc", 26, "SR013"},
+                              {"src/obs/cases.cc", 27, "SR013"}});
+  ASSERT_EQ(a.findings.size(), 2u);
   EXPECT_NE(a.findings[0].message.find("cpu_util_pc"), std::string::npos);
+  EXPECT_NE(a.findings[1].message.find("node0.cpu"), std::string::npos);
   // The never-read exact registration is a note, not a gate.
-  expect_triples(a.notes, {{"src/obs/cases.cc", 25, "SR013"}});
+  expect_triples(a.notes, {{"src/obs/cases.cc", 23, "SR013"}});
   ASSERT_EQ(a.notes.size(), 1u);
   EXPECT_EQ(a.notes[0].severity, lint::Severity::kNote);
-  // Passed through a variable: a literal inside `.find(` would look like a
-  // series lookup to SR013 itself.
-  const std::string orphan = std::string("orphan") + ".series";
-  EXPECT_NE(a.notes[0].message.find(orphan), std::string::npos);
+  EXPECT_NE(a.notes[0].message.find("orphan.series"), std::string::npos);
 }
 
 TEST(LintCrossTuTest, ExcludePrefixSkipsFiles) {
@@ -517,7 +518,7 @@ TEST(LintOutputTest, MarkdownRendering) {
                                     {"src"});
   const std::string md = lint::to_markdown(a);
   EXPECT_NE(md.find("### softres-lint"), std::string::npos);
-  EXPECT_NE(md.find("| `src/obs/cases.cc` | 28 | SR013 |"),
+  EXPECT_NE(md.find("| `src/obs/cases.cc` | 26 | SR013 |"),
             std::string::npos);
   lint::Analysis clean;
   EXPECT_NE(lint::to_markdown(clean).find(":white_check_mark:"),

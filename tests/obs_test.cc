@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "exp/config.h"
 #include "exp/experiment.h"
 #include "exp/testbed.h"
 #include "obs/registry.h"
+#include "obs/timeline.h"
 #include "obs/trace.h"
 #include "sim/rng.h"
-#include "sim/sampler.h"
 #include "sim/simulator.h"
 
 namespace softres::obs {
@@ -195,26 +198,35 @@ TEST(RegistryTest, CsvExportGolden) {
   EXPECT_EQ(os.str(), expected);
 }
 
-TEST(RegistryTest, AttachSamplesAliasedSeries) {
+// The store records every counter and gauge — polled or stored — once per
+// tick under its family and labels; histograms have no scalar column.
+TEST(TimelineTest, RecordsEveryCounterAndGaugePerTick) {
   sim::Simulator sim;
-  sim::Sampler sampler(sim, 1.0);
   Registry r;
   double v = 0.0;
   r.gauge_fn("cpu_util_pct", [&v](sim::SimTime) { return v; },
-             {{"node", "tomcat0"}}, "", "tomcat0.cpu");
+             {{"node", "tomcat0"}});
   Counter done = r.counter("pages_total");
-  r.attach(sampler);
-  sampler.start();
-  sim.schedule_at(1.5, [&] { v = 50.0; done.inc(); });
+  r.histogram("lat", {1.0});
+  Timeline tl(r, 3);
+  for (int t = 1; t <= 3; ++t) {
+    sim.schedule_at(t, [&] { tl.record(sim.now()); });
+  }
+  sim.schedule_at(1.5, [&] {
+    v = 50.0;
+    done.inc();
+  });
   sim.run_until(3.5);
-  // The polled gauge lands under its legacy dotted alias...
-  const sim::TimeSeries* s = sampler.find("tomcat0.cpu");
-  ASSERT_NE(s, nullptr);
-  ASSERT_GE(s->size(), 3u);
-  EXPECT_DOUBLE_EQ(s->values[0], 0.0);
-  EXPECT_DOUBLE_EQ(s->values[2], 50.0);
-  // ...and the alias-less counter under its rendered name.
-  ASSERT_NE(sampler.find("pages_total"), nullptr);
+  ASSERT_EQ(tl.size(), 2u);
+  EXPECT_EQ(tl.times(), (std::vector<sim::SimTime>{1.0, 2.0, 3.0}));
+  const Series* cpu = tl.find_series("cpu_util_pct", {{"node", "tomcat0"}});
+  ASSERT_NE(cpu, nullptr);
+  EXPECT_EQ(cpu->name, "cpu_util_pct{node=\"tomcat0\"}");
+  EXPECT_EQ(cpu->values, (std::vector<double>{0.0, 50.0, 50.0}));
+  const Series* pages = tl.find_series("pages_total");
+  ASSERT_NE(pages, nullptr);
+  EXPECT_EQ(pages->values, (std::vector<double>{0.0, 1.0, 1.0}));
+  EXPECT_EQ(tl.find_series("lat"), nullptr);
 }
 
 TEST(BreakdownTest, TelescopesExactlyOnSyntheticTrace) {
@@ -343,10 +355,39 @@ TEST(ExperimentTest, RunResultCarriesSnapshotAndTraces) {
   const MetricSample* hist = r.metrics.find("client_response_time_seconds");
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->count, r.response_times.count());
-  // Registry-backed sampler series keep their legacy dotted names.
-  EXPECT_NE(r.find_series("apache0.processed"), nullptr);
-  EXPECT_NE(r.find_series("tomcat0.threads.util"), nullptr);
-  EXPECT_NE(r.find_series("apache0.cpu"), nullptr);
+  // The trial's store moved into the result whole: one column per counter
+  // and gauge, one sample per tick of the 27 s trial.
+  EXPECT_EQ(r.series.ticks(), 27u);
+  for (const Series& s : r.series) EXPECT_EQ(s.size(), 27u);
+  EXPECT_NE(r.find_series("apache_processed_requests", {{"server", "apache0"}}),
+            nullptr);
+  EXPECT_NE(r.find_series("pool_util_pct", {{"pool", "tomcat0.threads"}}),
+            nullptr);
+  EXPECT_NE(r.find_series("cpu_util_pct", {{"node", "apache0"}}), nullptr);
+}
+
+// A flight-recorder report that cannot be written is an error naming the
+// path (and the variable it came from), not a silently missing file.
+TEST(ExperimentTest, UnwritableReportThrowsNamingPath) {
+  ::setenv("SOFTRES_REPORT_HTML", "/nonexistent_dir_softres/out.html", 1);
+  exp::ExperimentOptions opts = exp::ExperimentOptions::from_env();
+  opts.client.ramp_up_s = 2.0;
+  opts.client.runtime_s = 3.0;
+  opts.client.ramp_down_s = 1.0;
+  const exp::TestbedConfig cfg = exp::TestbedConfig::defaults();
+  const exp::Experiment experiment(cfg, opts);
+  try {
+    experiment.run(exp::SoftConfig{400, 15, 60}, 20);
+    ::unsetenv("SOFTRES_REPORT_HTML");
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    ::unsetenv("SOFTRES_REPORT_HTML");
+    const std::string what = e.what();
+    EXPECT_NE(what.find("/nonexistent_dir_softres/out_s400-15-60_u20.html"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("SOFTRES_REPORT_HTML"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

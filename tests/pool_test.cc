@@ -4,7 +4,8 @@
 
 #include <vector>
 
-#include "sim/sampler.h"
+#include "obs/probes.h"
+#include "obs/timeline.h"
 #include "sim/simulator.h"
 #include "soft/pool_monitor.h"
 
@@ -226,45 +227,65 @@ TEST(PoolTest, AverageInUseTimeWeighted) {
   EXPECT_NEAR(pool.average_in_use(8.0), 1.5, 1e-9);
 }
 
+// Pool probes as the testbed wires them: obs::register_pool on a Registry,
+// recorded once per second by the time-series store.
+struct PoolRecorder {
+  PoolRecorder(sim::Simulator& sim, const Pool& pool, int seconds) {
+    obs::register_pool(registry, pool);
+    timeline = obs::Timeline(registry, static_cast<std::size_t>(seconds));
+    for (int t = 1; t <= seconds; ++t) {
+      sim.schedule_at(t, [this, &sim] { timeline.record(sim.now()); });
+    }
+  }
+  const obs::Series& series(const std::string& family) const {
+    return *timeline.find_series(family, {{"pool", "p"}});
+  }
+
+  obs::Registry registry;
+  obs::Timeline timeline;
+};
+
 TEST(PoolMonitorTest, UtilProbeAndDensity) {
   sim::Simulator sim;
   Pool pool(sim, "p", 2);
-  sim::Sampler sampler(sim, 1.0);
-  add_pool_util_probe(sampler, "p.util", pool);
-  sampler.start();
+  PoolRecorder rec(sim, pool, 5);
   pool.acquire([] {});
   sim.run_until(5.0);
-  const sim::TimeSeries* s = sampler.find("p.util");
-  ASSERT_EQ(s->size(), 5u);
-  for (double v : s->values) EXPECT_NEAR(v, 50.0, 1e-9);
-  sim::Histogram density = utilization_density(*s, 0.0, 5.0, 10);
+  const obs::Series& s = rec.series("pool_util_pct");
+  ASSERT_EQ(s.size(), 5u);
+  for (double v : s.values) EXPECT_NEAR(v, 50.0, 1e-9);
+  sim::Histogram density =
+      utilization_density(rec.timeline.window(s, 0.0, 5.0), 10);
   EXPECT_NEAR(density.density(5), 1.0, 1e-12);  // all mass in [50,60)
 }
 
 TEST(PoolMonitorTest, SaturationRule) {
-  sim::TimeSeries s{"x", {}, {}};
+  obs::Registry registry;
+  obs::Gauge hot = registry.gauge("pool_util_pct", {{"pool", "hot"}});
+  obs::Gauge warm = registry.gauge("pool_util_pct", {{"pool", "warm"}});
+  obs::Timeline tl(registry, 10);
+  for (int i = 0; i < 10; ++i) {
+    hot.set(i < 7 ? 100.0 : 50.0);
+    warm.set(i < 3 ? 100.0 : 50.0);
+    tl.record(i);
+  }
   // 70% of samples at 100% -> saturated.
-  for (int i = 0; i < 10; ++i) s.add(i, i < 7 ? 100.0 : 50.0);
-  EXPECT_TRUE(is_saturated(s, 0.0, 10.0));
+  EXPECT_TRUE(is_saturated(tl.window(tl[0], 0.0, 10.0)));
   // Only 30% at 100% -> not saturated.
-  sim::TimeSeries s2{"x", {}, {}};
-  for (int i = 0; i < 10; ++i) s2.add(i, i < 3 ? 100.0 : 50.0);
-  EXPECT_FALSE(is_saturated(s2, 0.0, 10.0));
+  EXPECT_FALSE(is_saturated(tl.window(tl[1], 0.0, 10.0)));
   // Empty window -> not saturated.
-  EXPECT_FALSE(is_saturated(s, 20.0, 30.0));
+  EXPECT_FALSE(is_saturated(tl.window(tl[0], 20.0, 30.0)));
 }
 
 TEST(PoolMonitorTest, WaitersProbe) {
   sim::Simulator sim;
   Pool pool(sim, "p", 1);
-  sim::Sampler sampler(sim, 1.0);
-  add_pool_waiters_probe(sampler, "p.waiters", pool);
-  sampler.start();
+  PoolRecorder rec(sim, pool, 1);
   pool.acquire([] {});
   pool.acquire([] {});
   pool.acquire([] {});
   sim.run_until(1.0);
-  EXPECT_EQ(sampler.find("p.waiters")->values[0], 2.0);
+  EXPECT_EQ(rec.series("pool_waiting").values[0], 2.0);
 }
 
 }  // namespace

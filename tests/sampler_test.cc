@@ -1,100 +1,116 @@
-#include "sim/sampler.h"
+// The testbed's 1 s sampling tick (the simulated SysStat) and the [lo, hi)
+// windows of the store it fills. One tick event per second records every
+// series registered by the end of Testbed construction, then steps the
+// arbiters, the diagnoser and the governor; the first tick fires one
+// interval after run() starts and the last one at the trial horizon.
 
 #include <gtest/gtest.h>
 
-#include "sim/simulator.h"
+#include <vector>
 
-namespace softres::sim {
+#include "exp/run_context.h"
+#include "exp/testbed.h"
+#include "obs/timeline.h"
+
+namespace softres::exp {
 namespace {
 
+// 2 s ramp-up + 5 s runtime + 1 s ramp-down: an 8 s horizon.
+workload::ClientConfig quick_client() {
+  workload::ClientConfig c;
+  c.users = 50;
+  c.ramp_up_s = 2.0;
+  c.runtime_s = 5.0;
+  c.ramp_down_s = 1.0;
+  return c;
+}
+
 TEST(TimeSeriesTest, WindowAndAggregates) {
-  TimeSeries s{"x", {}, {}};
-  for (int i = 1; i <= 10; ++i) s.add(i, i * 10.0);
+  obs::Registry r;
+  obs::Gauge g = r.gauge("x");
+  obs::Timeline tl(r, 10);
+  for (int i = 1; i <= 10; ++i) {
+    g.set(i * 10.0);
+    tl.record(i);
+  }
+  const obs::Series& s = tl[0];
   EXPECT_EQ(s.size(), 10u);
-  EXPECT_NEAR(s.mean(), 55.0, 1e-12);
-  EXPECT_NEAR(s.mean_between(3.0, 6.0), 40.0, 1e-12);  // t=3,4,5
-  EXPECT_EQ(s.max_between(2.0, 8.0), 70.0);
-  EXPECT_EQ(s.window(4.0, 6.0), (std::vector<double>{40.0, 50.0}));
+  EXPECT_NEAR(tl.mean_between(s, 0.0, 11.0), 55.0, 1e-12);
+  EXPECT_NEAR(tl.mean_between(s, 3.0, 6.0), 40.0, 1e-12);  // t=3,4,5
+  const std::span<const double> w = tl.window(s, 4.0, 6.0);
+  EXPECT_EQ(std::vector<double>(w.begin(), w.end()),
+            (std::vector<double>{40.0, 50.0}));
 }
 
 TEST(TimeSeriesTest, EmptyWindowIsZero) {
-  TimeSeries s{"x", {}, {}};
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.mean_between(0.0, 1.0), 0.0);
-  EXPECT_EQ(s.max_between(0.0, 1.0), 0.0);
+  obs::Registry r;
+  r.gauge("x");
+  const obs::Timeline tl(r, 4);
+  EXPECT_EQ(tl[0].size(), 0u);
+  EXPECT_EQ(tl.mean_between(tl[0], 0.0, 1.0), 0.0);
+  EXPECT_TRUE(tl.window(tl[0], 0.0, 1.0).empty());
 }
 
 TEST(SamplerTest, PollsAtFixedInterval) {
-  Simulator sim;
-  Sampler sampler(sim, 1.0);
-  int calls = 0;
-  sampler.add_probe("count", [&](SimTime) { return static_cast<double>(++calls); });
-  sampler.start();
-  sim.run_until(5.5);
-  const TimeSeries& s = sampler.series(0);
-  ASSERT_EQ(s.size(), 5u);  // t = 1..5
-  EXPECT_EQ(s.times.front(), 1.0);
-  EXPECT_EQ(s.times.back(), 5.0);
-  EXPECT_EQ(s.values.back(), 5.0);
+  Testbed bed(TestbedConfig::defaults(), quick_client());
+  bed.run();
+  const std::vector<sim::SimTime> want = {1, 2, 3, 4, 5, 6, 7, 8};
+  EXPECT_EQ(bed.timeline().times(), want);
 }
 
 TEST(SamplerTest, StopHaltsSampling) {
-  Simulator sim;
-  Sampler sampler(sim, 1.0);
-  sampler.add_probe("x", [](SimTime) { return 1.0; });
-  sampler.start();
-  sim.run_until(3.5);
-  sampler.stop();
-  sim.run_until(10.0);
-  EXPECT_EQ(sampler.series(0).size(), 3u);
+  // The tick chain ends at the horizon: running the simulator on records
+  // nothing more.
+  Testbed bed(TestbedConfig::defaults(), quick_client());
+  bed.run();
+  bed.simulator().run_until(20.0);
+  EXPECT_EQ(bed.timeline().ticks(), 8u);
+  EXPECT_EQ(bed.timeline().times().back(), 8.0);
 }
 
 TEST(SamplerTest, ProbeReceivesSampleTime) {
-  Simulator sim;
-  Sampler sampler(sim, 0.5);
-  std::vector<SimTime> seen;
-  sampler.add_probe("t", [&](SimTime t) {
+  const TestbedConfig cfg = TestbedConfig::defaults();
+  workload::ClientConfig client = quick_client();
+  RunContext ctx(client.seed, cfg, client.users);
+  std::vector<sim::SimTime> seen;
+  ctx.registry().gauge_fn("probe_time", [&seen](sim::SimTime t) {
     seen.push_back(t);
     return t;
   });
-  sampler.start();
-  sim.run_until(2.0);
-  ASSERT_EQ(seen.size(), 4u);
-  EXPECT_EQ(seen[0], 0.5);
-  EXPECT_EQ(seen[3], 2.0);
+  Testbed bed(ctx, cfg, client);
+  bed.run();
+  // One read per tick, at the tick's instant; the first tick is one interval
+  // in, not at t = 0.
+  const std::vector<sim::SimTime> want = {1, 2, 3, 4, 5, 6, 7, 8};
+  EXPECT_EQ(seen, want);
+  const obs::Series* s = bed.timeline().find_series("probe_time");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->values, want);
 }
 
 TEST(SamplerTest, FindByName) {
-  Simulator sim;
-  Sampler sampler(sim);
-  sampler.add_probe("a", [](SimTime) { return 1.0; });
-  sampler.add_probe("b", [](SimTime) { return 2.0; });
-  EXPECT_NE(sampler.find("a"), nullptr);
-  EXPECT_NE(sampler.find("b"), nullptr);
-  EXPECT_EQ(sampler.find("c"), nullptr);
-  EXPECT_EQ(sampler.find("b")->name, "b");
+  Testbed bed(TestbedConfig::defaults(), quick_client());
+  const obs::Timeline& tl = bed.timeline();
+  const obs::Series* s = tl.find_series("pool_util_pct", {{"pool", "tomcat0.threads"}});
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->name, "pool_util_pct{pool=\"tomcat0.threads\"}");
+  EXPECT_EQ(tl.find_series("pool_util_pct", {{"pool", "tomcat9.threads"}}),
+            nullptr);
+  // Lookups need the labels: the bare family names no series.
+  EXPECT_EQ(tl.find_series("pool_util_pct"), nullptr);
 }
 
 TEST(SamplerTest, MultipleProbesSampledTogether) {
-  Simulator sim;
-  Sampler sampler(sim, 1.0);
-  sampler.add_probe("one", [](SimTime) { return 1.0; });
-  sampler.add_probe("two", [](SimTime) { return 2.0; });
-  sampler.start();
-  sim.run_until(3.0);
-  EXPECT_EQ(sampler.series(0).size(), sampler.series(1).size());
-  EXPECT_EQ(sampler.series(1).values[0], 2.0);
-}
-
-TEST(SamplerTest, StartIsIdempotent) {
-  Simulator sim;
-  Sampler sampler(sim, 1.0);
-  sampler.add_probe("x", [](SimTime) { return 0.0; });
-  sampler.start();
-  sampler.start();  // must not double-schedule
-  sim.run_until(2.5);
-  EXPECT_EQ(sampler.series(0).size(), 2u);
+  Testbed bed(TestbedConfig::defaults(), quick_client());
+  const std::size_t columns = bed.registry().series().size();
+  // Registered after construction (as a runtime tuner does): not recorded.
+  bed.registry().gauge_fn("late", [](sim::SimTime) { return 1.0; });
+  bed.run();
+  const obs::Timeline& tl = bed.timeline();
+  EXPECT_EQ(tl.size(), columns);
+  EXPECT_EQ(tl.find_series("late"), nullptr);
+  for (const obs::Series& s : tl) EXPECT_EQ(s.size(), tl.ticks());
 }
 
 }  // namespace
-}  // namespace softres::sim
+}  // namespace softres::exp

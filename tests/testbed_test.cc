@@ -78,10 +78,11 @@ TEST(TestbedTest, SamplerRecordsCpuSeries) {
   TestbedConfig cfg = TestbedConfig::defaults();
   Testbed bed(cfg, quick_client(300));
   bed.run();
-  const sim::TimeSeries* s = bed.sampler().find("tomcat0.cpu");
+  const obs::Timeline& tl = bed.timeline();
+  const obs::Series* s = tl.find_series("cpu_util_pct", {{"node", "tomcat0"}});
   ASSERT_NE(s, nullptr);
   EXPECT_GT(s->size(), 20u);
-  EXPECT_GT(s->mean_between(bed.measure_start(), bed.measure_end()), 0.0);
+  EXPECT_GT(tl.mean_between(*s, bed.measure_start(), bed.measure_end()), 0.0);
 }
 
 TEST(ExperimentTest, RunResultConservation) {

@@ -2,14 +2,14 @@
 // was a detector silently reading a series nobody produced; this pass makes
 // that class of bug a lint failure. It collects, across every scanned file:
 //
-//   registrations  string literals passed to registration sites
-//                  (Registry::counter/gauge/histogram/gauge_fn/counter_fn,
-//                  Timeline::add_probe, the monitor add_*_probe helpers);
-//   lookups        string literals passed to lookup sites
-//                  (Registry::reader/family, Timeline::track/track_family,
-//                  and `find(` when the literal looks like a series name).
+//   registrations  the series name passed to a registration site
+//                  (Registry::counter/gauge/histogram/gauge_fn/counter_fn):
+//                  the first literal of the first string-bearing argument
+//                  only — later literals are labels and help text;
+//   lookups        the first literal passed to a lookup site
+//                  (Timeline::find_series and RunResult::find_series).
 //
-// Because most series are built as `prefix + ".suffix"` at runtime, every
+// Because some names are built as `prefix + "_suffix"` at runtime, every
 // literal is classified exact (the argument is the lone literal) or
 // fragment (the argument mixes identifiers/'+' with the literal). A lookup
 // is satisfied when some registration literal is compatible with it:
@@ -38,23 +38,13 @@ bool punct(const Token& t, const char* text) {
 
 const std::set<std::string>& registration_calls() {
   static const std::set<std::string> kCalls = {
-      "counter",        "gauge",
-      "histogram",      "gauge_fn",
-      "counter_fn",     "add_probe",
-      "add_pool_util_probe",  "add_pool_waiters_probe",
-      "add_cpu_util_probe",   "add_gc_util_probe",
-      "add_cpu_load_probe",
+      "counter", "gauge", "histogram", "gauge_fn", "counter_fn",
   };
   return kCalls;
 }
 
 const std::set<std::string>& lookup_calls() {
-  static const std::set<std::string> kCalls = {
-      "reader",
-      "family",
-      "track",
-      "track_family",
-  };
+  static const std::set<std::string> kCalls = {"find_series"};
   return kCalls;
 }
 
@@ -159,44 +149,26 @@ void check_series_xref(const std::vector<SourceFile>& files,
           i >= 1 && (punct(toks[i - 1], ".") || punct(toks[i - 1], "->"));
 
       if (registration_calls().count(t.text) > 0) {
-        const std::vector<Arg> args = split_args(toks, i + 1, nullptr);
         // The first string-bearing argument names the series; literals in
-        // later arguments that look like series names are aliases (help
-        // text and label keys fail the charset test).
-        bool name_seen = false;
-        for (const Arg& arg : args) {
+        // later arguments are label keys/values and help text.
+        for (const Arg& arg : split_args(toks, i + 1, nullptr)) {
           if (arg.strings.empty()) continue;
-          for (const Token* s : arg.strings) {
-            if (!name_seen) {
-              if (!series_charset(s->text)) break;
-              registrations.push_back(
-                  {s->text, sf.rel_path, s->line, arg.mixed});
-            } else if (series_charset(s->text) &&
-                       s->text.find('.') != std::string::npos) {
-              registrations.push_back(
-                  {s->text, sf.rel_path, s->line, arg.mixed});
-            }
+          const Token* s = arg.strings.front();
+          if (series_charset(s->text)) {
+            registrations.push_back(
+                {s->text, sf.rel_path, s->line, arg.mixed});
           }
-          if (!name_seen && !arg.strings.empty() &&
-              series_charset(arg.strings.front()->text))
-            name_seen = true;
+          break;
         }
         continue;
       }
 
-      const bool dedicated_lookup =
-          is_member && lookup_calls().count(t.text) > 0;
-      const bool find_lookup = is_member && t.text == "find";
-      if (dedicated_lookup || find_lookup) {
+      if (is_member && lookup_calls().count(t.text) > 0) {
         const std::vector<Arg> args = split_args(toks, i + 1, nullptr);
         if (args.empty() || args.front().strings.empty()) continue;
         const Arg& first = args.front();
         const Token* s = first.strings.front();
         if (!series_charset(s->text)) continue;
-        // Bare `x.find("...")` is usually std::string/std::map; only treat
-        // it as a series lookup when the literal is unmistakably a series
-        // name (dotted path).
-        if (find_lookup && s->text.find('.') == std::string::npos) continue;
         lookups.push_back({s->text, sf.rel_path, s->line, first.mixed});
       }
     }
