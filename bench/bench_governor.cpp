@@ -1,8 +1,10 @@
 // Scenario bench: the closed-loop governor vs static allocations on
 // time-varying load. The flash-crowd half doubles as an acceptance check —
-// the governed trial must score strictly above the best static allocation
-// found by the grid (the paper's Algorithm 1 answer) — and its failure count
-// is the exit code, so the check is ctest-visible like the figure benches.
+// the governed trial must score at least 95 % of the best static allocation
+// found by the grid (the paper's Algorithm 1 answer) and at least 1.5x its
+// own starting allocation held static, the claim governor_test checks at
+// three seeds — and its failure count is the exit code, so the check is
+// ctest-visible like the figure benches.
 // The diurnal half is informational: it shows the resize cadence over a
 // slow wave, where hysteresis (deadband + cooldown + token bucket) matters
 // more than reaction speed.
@@ -46,7 +48,8 @@ int main() {
 
   bench::header("Governor vs static allocation, flash crowd",
                 "1/4/1/4, 2500 -> 7000 -> 2500 users, SLO 1 s; governed "
-                "trial must beat the best static grid point");
+                "trial must reach 95% of the best static grid point and "
+                "1.5x its static start");
 
   exp::TestbedConfig cfg = exp::TestbedConfig::defaults();
   cfg.hw = exp::HardwareConfig{1, 4, 1, 4};
@@ -71,6 +74,8 @@ int main() {
              metrics::Table::fmt(
                  cmp.best_static.sla(cmp.sla_threshold_s).badput, 1),
              "0"});
+  t.add_row({"static start (" + candidates.front().to_string() + ")",
+             metrics::Table::fmt(cmp.start_goodput, 1), "-", "0"});
   t.add_row({"governed from " + candidates.front().to_string(),
              metrics::Table::fmt(cmp.governed_goodput, 1),
              metrics::Table::fmt(
@@ -83,13 +88,18 @@ int main() {
             << ")\n";
   print_resizes(cmp.governed.governor_actions);
 
-  if (cmp.governed_goodput > cmp.best_static_goodput) {
-    std::cout << "[governor OK]   flash crowd: governed beats best static\n";
+  if (cmp.governed_goodput >= 0.95 * cmp.best_static_goodput &&
+      cmp.governed_goodput >= 1.5 * cmp.start_goodput) {
+    std::cout << "[governor OK]   flash crowd: governed within 5% of best "
+                 "static and >= 1.5x its static start\n";
   } else {
     std::cout << "[governor FAIL] flash crowd: governed "
               << metrics::Table::fmt(cmp.governed_goodput, 1)
-              << " <= best static "
-              << metrics::Table::fmt(cmp.best_static_goodput, 1) << "\n";
+              << " vs best static "
+              << metrics::Table::fmt(cmp.best_static_goodput, 1)
+              << " (need >= 95%) and static start "
+              << metrics::Table::fmt(cmp.start_goodput, 1)
+              << " (need >= 1.5x)\n";
     ++failures;
   }
 

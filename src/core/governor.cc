@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "soft/partition.h"
-
 namespace softres::core {
 
 namespace {
@@ -89,34 +87,6 @@ std::size_t Governor::tick(sim::SimTime now, double max_backend_cpu_pct,
       st.seeded = true;
     } else {
       st.ewma += alpha * (demand - st.ewma);
-    }
-
-    // Per-tenant attribution of the same signal on a partitioned pool: the
-    // pool keeps one occupancy integral per tenant, so the window's demand
-    // splits exactly — no estimation — and a resize can be traced to the
-    // tenant whose occupancy-plus-queue drove it.
-    if (const soft::TenantArbiter* arb = e.pool->arbiter()) {
-      const std::size_t n = arb->tenants();
-      const bool first = st.tenant_ewma.size() != n;
-      if (first) {
-        st.tenant_ewma.assign(n, 0.0);
-        st.tenant_prev_integral.assign(n, 0.0);
-      }
-      for (std::size_t t = 0; t < n; ++t) {
-        const double ti = e.pool->tenant_occupancy_integral(t, now);
-        double occ = static_cast<double>(e.pool->tenant_in_use(t));
-        if (!first && window_ok && ti >= st.tenant_prev_integral[t]) {
-          occ = (ti - st.tenant_prev_integral[t]) / dt;
-        }
-        st.tenant_prev_integral[t] = ti;
-        const double td =
-            occ + static_cast<double>(e.pool->tenant_waiting(t));
-        if (first) {
-          st.tenant_ewma[t] = td;
-        } else {
-          st.tenant_ewma[t] += alpha * (td - st.tenant_ewma[t]);
-        }
-      }
     }
 
     const bool named = !advice.resource.empty() &&

@@ -119,19 +119,6 @@ class Governor {
   /// acceptance test.
   std::size_t max_step_from(std::size_t cap) const;
 
-  /// Smoothed demand estimate for entry `i` (testing/diagnostics).
-  double smoothed_demand(std::size_t i) const { return state_[i].ewma; }
-
-  /// Smoothed demand the governor attributes to `tenant` on pool entry `i`
-  /// (0.0 unless the pool carries a TenantArbiter). Same integral-differenced
-  /// occupancy-plus-queue signal as smoothed_demand, split per tenant ledger,
-  /// so a capacity decision can be traced to the tenant that drove it.
-  double tenant_demand(std::size_t i, std::size_t tenant) const {
-    if (i >= state_.size()) return 0.0;
-    const PoolState& st = state_[i];
-    return tenant < st.tenant_ewma.size() ? st.tenant_ewma[tenant] : 0.0;
-  }
-
  private:
   struct PoolState {
     double ewma = 0.0;
@@ -142,10 +129,6 @@ class Governor {
     /// tick and after Pool::reset_stats (the integral drops backwards).
     double prev_integral = 0.0;
     bool integral_seeded = false;
-    /// Per-tenant attribution of the same signal (partitioned pools only;
-    /// sized on the first tick that sees the pool's arbiter).
-    std::vector<double> tenant_ewma;
-    std::vector<double> tenant_prev_integral;
   };
 
   std::size_t desired_capacity(const soft::ResizablePoolSet::Entry& e,

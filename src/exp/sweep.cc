@@ -78,6 +78,7 @@ GovernedComparison governed_sweep(const Experiment& exp,
   for (std::size_t s = 0; s < grid.size(); ++s) {
     RunResult& r = grid[s][0];
     const double g = r.goodput(out.sla_threshold_s);
+    if (softs[s] == start) out.start_goodput = g;
     if (first || g > out.best_static_goodput) {
       out.best_static_goodput = g;
       out.best_static_soft = softs[s];

@@ -61,6 +61,9 @@ struct GovernedComparison {
   RunResult best_static;
   SoftConfig best_static_soft;
   double best_static_goodput = 0.0;
+  /// Goodput of `start` held static (0 when `start` is not among the
+  /// candidates): what the governed trial would score without resizing.
+  double start_goodput = 0.0;
   /// The governed trial, started from `start` (its RunResult carries the
   /// governor action log).
   RunResult governed;

@@ -1,5 +1,6 @@
 #include "exp/testbed.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "obs/probes.h"
@@ -95,7 +96,7 @@ void Testbed::build(const workload::ClientConfig& client_cfg) {
 
   // Uniform soft-resource surface: every tier registers its live-resizable
   // pools (and tier-local consistency hooks) through the one virtual hook;
-  // controllers (AdaptiveTuner, core::Governor) only ever see this set.
+  // the governor only ever sees this set.
   // Registration order — web, app, middleware, db — is deterministic.
   for (auto& a : apaches_) a->register_soft_resources(pool_set_);
   for (auto& t : tomcats_) t->register_soft_resources(pool_set_);
@@ -180,14 +181,16 @@ void Testbed::build(const workload::ClientConfig& client_cfg) {
                                   farm_->measure_end());
 
   // Closed-loop governor (opt-in via the trial context); tick() runs it
-  // after the diagnoser, so each step consumes the diagnosis of the same
-  // sampling instant.
+  // after the store records and the diagnoser observes, so each step
+  // consumes the CPU utilization and the diagnosis of the same instant.
   const core::GovernorConfig& gov_cfg = ctx_->governor_config();
   if (gov_cfg.enabled) {
     governor_ = std::make_unique<core::Governor>(gov_cfg, pool_set_);
     for (const auto& node : nodes_) {
       if (node->name().rfind("apache", 0) == 0) continue;  // web stalls != CPU
-      governor_busy_.push_back(GovernorNodeBusy{node.get(), 0.0});
+      backend_cpu_.push_back(
+          timeline_.find_series("cpu_util_pct", {{"node", node->name()}}));
+      assert(backend_cpu_.back() != nullptr);
     }
   }
 }
@@ -220,20 +223,11 @@ void Testbed::sync_cjdbc_upstreams() {
 }
 
 void Testbed::governor_tick(sim::SimTime now) {
-  // Hottest backend CPU over the last tick: the growth-guard input. Same
-  // busy-core differentiation the AdaptiveTuner uses for its guard.
-  const double dt = now - governor_prev_tick_;
-  governor_prev_tick_ = now;
+  // Hottest backend CPU over the last tick, as the store recorded it at this
+  // tick: the growth-guard input.
   double max_cpu_pct = 0.0;
-  for (auto& nb : governor_busy_) {
-    const double busy = nb.node->cpu().busy_core_seconds();
-    if (dt > 0.0) {
-      const double util =
-          100.0 * (busy - nb.prev_busy) /
-          (static_cast<double>(nb.node->cpu().cores()) * dt);
-      if (util > max_cpu_pct) max_cpu_pct = util;
-    }
-    nb.prev_busy = busy;
+  for (const obs::Series* cpu : backend_cpu_) {
+    max_cpu_pct = std::max(max_cpu_pct, cpu->values.back());
   }
 
   // Translate the diagnoser's live suggestion into core vocabulary (core

@@ -55,8 +55,8 @@ class Testbed {
   const RunContext& context() const { return *ctx_; }
 
   sim::Simulator& simulator() { return ctx_->simulator(); }
-  /// Unified metrics registry: every probe of every tier, the client farm and
-  /// any runtime tuner registers here.
+  /// Unified metrics registry: every probe of every tier and the client farm
+  /// registers here.
   obs::Registry& registry() { return ctx_->registry(); }
   const obs::Registry& registry() const { return ctx_->registry(); }
   /// The trial's time-series store: every series registered by the end of
@@ -71,7 +71,7 @@ class Testbed {
   /// Every live-resizable pool in the rig, registered by the tiers through
   /// the uniform Server::register_soft_resources hook at build time, with
   /// the cross-tier consistency hooks (JVM thread sync, C-JDBC upstream
-  /// connection counts) attached. Controllers operate on this.
+  /// connection counts) attached. The governor operates on this.
   soft::ResizablePoolSet& pool_set() { return pool_set_; }
   const soft::ResizablePoolSet& pool_set() const { return pool_set_; }
   /// The closed-loop governor, when the trial context enables one.
@@ -155,13 +155,10 @@ class Testbed {
   // raw pool pointers inside the entries stay the owners of the pools.
   std::vector<std::unique_ptr<soft::TenantArbiter>> arbiters_;
   std::unique_ptr<core::Governor> governor_;
-  // Backend (non-web) CPU busy baselines for the governor's growth guard.
-  struct GovernorNodeBusy {
-    const hw::Node* node = nullptr;
-    double prev_busy = 0.0;
-  };
-  std::vector<GovernorNodeBusy> governor_busy_;
-  sim::SimTime governor_prev_tick_ = 0.0;
+  // The store's backend (non-web) cpu_util_pct columns, the governor's
+  // growth-guard input. timeline_ reserves its columns once in build(), so
+  // these stay valid for the whole run.
+  std::vector<const obs::Series*> backend_cpu_;
 
   std::map<const jvm::Jvm*, double> gc_baseline_;
   std::map<const jvm::Jvm*, double> gc_at_end_;

@@ -57,7 +57,7 @@ struct EvidenceWindow {
   double duration() const { return to - from; }
 };
 
-/// Machine-consumable remediation hint (exp::AdaptiveTuner's hint channel).
+/// Machine-consumable remediation hint (the governor's advice channel).
 struct SuggestedAction {
   enum class Kind { kNone, kGrowPool, kShrinkPool, kAddHardware };
   Kind kind = Kind::kNone;
@@ -158,7 +158,7 @@ class Diagnoser {
   void observe(sim::SimTime now);
 
   /// The verdict over everything observed so far. Cheap enough to call every
-  /// control interval (the AdaptiveTuner hint channel does).
+  /// tick (the testbed's governor advice channel does).
   Diagnosis diagnosis() const;
 
   /// Detectors whose condition held at the latest observe().

@@ -70,7 +70,7 @@ void register_pool(Registry& registry, const soft::Pool& pool) {
       "pool_capacity",
       [p](sim::SimTime) { return static_cast<double>(p->capacity()); },
       {{"pool", pool.name()}},
-      "Current pool capacity (soft allocation; adaptive tuning resizes it)");
+      "Current pool capacity (soft allocation; the governor resizes it)");
 }
 
 void register_server_ops(Registry& registry, const tier::Server& server) {

@@ -374,7 +374,7 @@ void write_flight_recorder_html(std::ostream& os, const ReportMeta& meta,
     }
   }
 
-  // Governor / tuner resize log (present when the trial resized pools live).
+  // Governor resize log (present when the trial resized pools live).
   if (!meta.resizes.empty()) {
     os << "<h2>Pool resizes</h2>\n";
     os << "<table>\n<tr><th>time (s)</th><th>pool</th><th>from</th>"

@@ -45,7 +45,6 @@ void Pool::set_arbiter(TenantArbiter* arbiter) {
   arbiter_ = arbiter;
   const std::size_t n = arbiter != nullptr ? arbiter->tenants() : 0;
   tenant_in_use_.assign(n, 0);
-  tenant_waiting_.assign(n, 0);
   tenant_acquired_.assign(n, 0);
   tenant_occupancy_.assign(n, sim::TimeWeighted{});
   for (sim::TimeWeighted& occ : tenant_occupancy_) occ.reset(sim_.now());
@@ -57,7 +56,6 @@ void Pool::acquire_shared(Callback granted, std::uint32_t tenant) {
     grant_shared(std::move(granted), sim_.now(), tenant);
   } else {
     waiters_.push_back(Waiter{std::move(granted), sim_.now(), tenant});
-    ++tenant_waiting_[tenant];
   }
 }
 
@@ -95,7 +93,6 @@ void Pool::dispatch_shared() {
     if (idx == TenantArbiter::kNoPick) break;
     Waiter w = std::move(waiters_[idx]);
     waiters_.erase(waiters_.begin() + static_cast<std::ptrdiff_t>(idx));
-    --tenant_waiting_[w.tenant];
     grant_shared(std::move(w.granted), w.enqueued_at, w.tenant);
   }
 }

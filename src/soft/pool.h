@@ -117,19 +117,15 @@ class Pool {
   /// Attach a partition arbiter (non-owning; the Testbed owns it). Must be
   /// called before any unit is handed out — per-tenant ledgers start empty.
   void set_arbiter(TenantArbiter* arbiter);
-  TenantArbiter* arbiter() const { return arbiter_; }
 
   // Per-tenant views; valid only with an arbiter attached (the vectors are
   // sized to the arbiter's tenant count).
   std::size_t tenant_in_use(std::uint32_t t) const { return tenant_in_use_[t]; }
-  std::size_t tenant_waiting(std::uint32_t t) const {
-    return tenant_waiting_[t];
-  }
   std::uint64_t tenant_acquired(std::uint32_t t) const {
     return tenant_acquired_[t];
   }
-  /// Per-tenant running occupancy integral (unit-seconds); the governor's
-  /// per-tenant demand-attribution signal and Karma's usage meter.
+  /// Per-tenant running occupancy integral (unit-seconds); Karma's usage
+  /// meter.
   double tenant_occupancy_integral(std::uint32_t t, sim::SimTime until) const {
     return tenant_occupancy_[t].integral(until);
   }
@@ -168,7 +164,6 @@ class Pool {
   std::vector<CapacityEpoch> epochs_;
   TenantArbiter* arbiter_ = nullptr;
   std::vector<std::size_t> tenant_in_use_;
-  std::vector<std::size_t> tenant_waiting_;
   std::vector<std::uint64_t> tenant_acquired_;
   std::vector<sim::TimeWeighted> tenant_occupancy_;
 };

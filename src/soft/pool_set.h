@@ -18,7 +18,7 @@ const char* pool_role_name(PoolRole role);
 
 /// Uniform registration surface for every live-resizable pool in a testbed.
 ///
-/// Tiers register the pools they own (instead of tuners grubbing through
+/// Tiers register the pools they own (instead of a controller grubbing through
 /// per-tier accessors), optionally with floor/ceiling bounds that encode
 /// tier-local constraints. Cross-pool consistency work — keeping a JVM's
 /// live-thread count in sync with its pools so §III-B GC over-allocation

@@ -32,9 +32,9 @@ class Server {
 
   /// Register this server's live-resizable soft resources (pools plus any
   /// consistency hooks, e.g. JVM live-thread sync) with the testbed-wide
-  /// set. The uniform hook every tier exposes so controllers (AdaptiveTuner,
-  /// core::Governor) never reach into tier-specific accessors. Default: the
-  /// server owns no resizable pools.
+  /// set. The uniform hook every tier exposes so the controller
+  /// (core::Governor) never reaches into tier-specific accessors. Default:
+  /// the server owns no resizable pools.
   virtual void register_soft_resources(soft::ResizablePoolSet&) {}
 
   /// Which profiler subsystem this server's request counts land in; tiers

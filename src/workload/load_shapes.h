@@ -8,7 +8,7 @@
 
 namespace softres::workload {
 
-/// Canonical time-varying load shapes for governor/tuner scenarios. Each
+/// Canonical time-varying load shapes for governor scenarios. Each
 /// returns a LoadPhase schedule for ClientConfig::load_schedule (or
 /// ClientFarm::set_load_schedule). All are pure functions of their
 /// arguments — no randomness, so scenario identity stays deterministic.

@@ -3,9 +3,10 @@
 //    (hysteresis: deadband, cooldown, bounded step, token bucket, CPU guard);
 //  * load-shape unit tests (pure schedule generators);
 //  * scenario acceptance tests on the full testbed: stationary convergence
-//    to within one resize step of the static optimum, flash-crowd goodput
-//    strictly above the best static allocation, JVM thread-count sync, and
-//    bit-identical governed sweeps at jobs=1 vs jobs=4.
+//    to within one resize step of the static optimum, flash-crowd and
+//    elastic-load goodput against static allocations at three seeds, JVM
+//    thread-count sync, and bit-identical governed sweeps at jobs=1 vs
+//    jobs=4.
 
 #include "core/governor.h"
 
@@ -14,10 +15,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "exp/config.h"
 #include "exp/experiment.h"
+#include "exp/parallel.h"
 #include "exp/run_context.h"
 #include "exp/sweep.h"
 #include "exp/testbed.h"
@@ -188,6 +192,44 @@ TEST(GovernorTest, ShrinksIdlePoolDownToFloor) {
   for (const auto& a : gov.actions()) EXPECT_GE(a.to, 8u);
 }
 
+TEST(GovernorTest, RespectsBounds) {
+  // Demand of 200 on every pool: growth stops at min(max_pool, ceiling) —
+  // the pool-local ceiling when it is lower, the global clamp otherwise —
+  // and advised growth, which skips the other gates, stops there too.
+  sim::Simulator sim;
+  soft::Pool low(sim, "tomcat0.threads", 4);       // ceiling 24 < max_pool
+  soft::Pool high(sim, "tomcat0.dbconns", 4);      // ceiling 100 > max_pool
+  soft::Pool uncapped(sim, "apache0.workers", 4);  // no ceiling
+  for (soft::Pool* p : {&low, &high, &uncapped}) {
+    for (int i = 0; i < 200; ++i) p->acquire([] {});
+  }
+  soft::ResizablePoolSet set;
+  set.add(low, soft::PoolRole::kAppThreads, /*floor=*/1, /*ceiling=*/24);
+  set.add(high, soft::PoolRole::kDbConnections, /*floor=*/1, /*ceiling=*/100);
+  set.add(uncapped, soft::PoolRole::kWebWorkers);
+  GovernorConfig cfg = relaxed_config();
+  cfg.max_pool = 40;
+  Governor gov(cfg, set);
+  for (int t = 1; t <= 60; ++t) {
+    advance_to(sim, static_cast<double>(t));
+    const GovernorAdvice advice =
+        t % 10 == 0
+            ? GovernorAdvice{GovernorAdvice::Kind::kGrow, "tomcat0.threads"}
+            : GovernorAdvice{};
+    gov.tick(static_cast<double>(t), 0.0, advice);
+    EXPECT_LE(low.capacity(), 24u) << "t=" << t;
+    EXPECT_LE(high.capacity(), 40u) << "t=" << t;
+    EXPECT_LE(uncapped.capacity(), 40u) << "t=" << t;
+  }
+  // The bounds bind: every pool reached its own limit, not a lower one.
+  EXPECT_EQ(low.capacity(), 24u);
+  EXPECT_EQ(high.capacity(), 40u);
+  EXPECT_EQ(uncapped.capacity(), 40u);
+  for (const auto& a : gov.actions()) {
+    EXPECT_LE(a.to, a.pool == "tomcat0.threads" ? 24u : 40u) << a.pool;
+  }
+}
+
 // ---- Load shapes: pure schedule generators ----
 
 TEST(LoadShapesTest, FlashCrowdPhases) {
@@ -301,34 +343,112 @@ TEST(GovernorScenarioTest, StationaryConvergesNearStaticOptimum) {
   EXPECT_FALSE(r.governor_actions.empty());
 }
 
-// Acceptance: on the flash-crowd scenario, the governed trial's goodput is
-// strictly higher than the best static allocation found by sweep_grid.
-TEST(GovernorScenarioTest, FlashCrowdBeatsBestStatic) {
-  e::TestbedConfig cfg = e::TestbedConfig::defaults();
-  cfg.hw = e::HardwareConfig{1, 4, 1, 4};
+// The seeds every scenario claim below is checked at: the default plus two
+// held-out ones, so no claim rests on one favourable draw.
+const std::vector<std::uint64_t> kClaimSeeds = {42, 7, 2718};
+
+/// The schedule both claims below run at `seed`: 5 s ramp-up, a 150 s
+/// measurement window under `load`, SLO 1 s.
+e::ExperimentOptions claim_options(std::uint64_t seed,
+                                   std::vector<workload::LoadPhase> load) {
   e::ExperimentOptions opts;
+  opts.client.seed = seed;
   opts.client.ramp_up_s = 5.0;
   opts.client.runtime_s = 150.0;
   opts.client.ramp_down_s = 2.0;
   opts.sla_threshold_s = 1.0;
-  opts.client.load_schedule =
-      workload::flash_crowd_schedule(2500, 7000, 60.0, 50.0);
-  const e::Experiment exp(cfg, opts);
+  opts.client.load_schedule = std::move(load);
+  return opts;
+}
 
+struct Arm {
+  e::Experiment exp;
+  e::SoftConfig soft;
+};
+
+/// Run every arm at `users` as one flat executor batch, results in input
+/// order: a claim checked at several seeds costs one batch, not one sweep
+/// per seed.
+std::vector<e::RunResult> run_arms(const std::vector<Arm>& arms,
+                                   std::size_t users) {
+  e::ParallelExecutor pool;
+  return pool.run_indexed(arms.size(), [&arms, users](std::size_t i) {
+    return arms[i].exp.run(arms[i].soft, users);
+  });
+}
+
+// Acceptance: on the flash-crowd scenario (1/4/1/4, 2500 -> 7000 -> 2500
+// users, SLO 1 s), the governed trial from the liberal 400-200-200 stays
+// within 5 % of the best static candidate and beats its own static start by
+// at least 1.5x, at every claim seed. Beating the best static outright holds
+// at some seeds and not at others, so it is no claim. Same selection as
+// exp::governed_sweep, which bench_governor checks at its own seed.
+TEST(GovernorScenarioTest, FlashCrowdNearBestStaticAcrossSeeds) {
+  e::TestbedConfig cfg = e::TestbedConfig::defaults();
+  cfg.hw = e::HardwareConfig{1, 4, 1, 4};
   const std::vector<e::SoftConfig> candidates = {
       e::SoftConfig{400, 200, 200},  // liberal: pays §III-B GC at baseline
       e::SoftConfig{200, 100, 100},
       e::SoftConfig{150, 60, 60},
       e::SoftConfig{100, 30, 30},    // lean: starves during the crowd
   };
-  const e::GovernedComparison cmp = e::governed_sweep(
-      exp, candidates, /*users=*/7000, /*start=*/candidates.front(),
-      GovernorConfig{});
-  EXPECT_GT(cmp.governed_goodput, cmp.best_static_goodput)
-      << "governed " << cmp.governed_goodput << " vs best static "
-      << cmp.best_static_goodput << " (soft "
-      << cmp.best_static_soft.to_string() << ")";
-  EXPECT_FALSE(cmp.governed.governor_actions.empty());
+  std::vector<Arm> arms;  // per seed: every static candidate, then governed
+  for (const std::uint64_t seed : kClaimSeeds) {
+    e::ExperimentOptions opts = claim_options(
+        seed, workload::flash_crowd_schedule(2500, 7000, 60.0, 50.0));
+    for (const e::SoftConfig& soft : candidates) {
+      arms.push_back({e::Experiment(cfg, opts), soft});
+    }
+    opts.governor.enabled = true;
+    arms.push_back({e::Experiment(cfg, opts), candidates.front()});
+  }
+  const std::vector<e::RunResult> runs = run_arms(arms, 7000);
+
+  const std::size_t per_seed = candidates.size() + 1;
+  for (std::size_t k = 0; k < kClaimSeeds.size(); ++k) {
+    SCOPED_TRACE("seed " + std::to_string(kClaimSeeds[k]));
+    const e::RunResult* seed_runs = &runs[k * per_seed];
+    double best_static = 0.0;
+    for (std::size_t c = 0; c < candidates.size(); ++c) {
+      best_static = std::max(best_static, seed_runs[c].goodput(1.0));
+    }
+    const double start = seed_runs[0].goodput(1.0);
+    const e::RunResult& governed = seed_runs[candidates.size()];
+    EXPECT_GE(governed.goodput(1.0), 0.95 * best_static)
+        << "governed " << governed.goodput(1.0) << " vs best static "
+        << best_static;
+    EXPECT_GE(governed.goodput(1.0), 1.5 * start)
+        << "governed " << governed.goodput(1.0) << " vs static start "
+        << start;
+    EXPECT_FALSE(governed.governor_actions.empty());
+  }
+}
+
+// Acceptance: on an elastic profile (1/4/1/4, 2500 -> 7000 -> 4000 users at
+// 0/60/110 s, SLO 1 s), governing the over-allocated 400-200-200 lifts its
+// goodput above 1.5x the same allocation held static, at every claim seed.
+TEST(GovernorScenarioTest, ImprovesOverAllocatedElasticRun) {
+  e::TestbedConfig cfg = e::TestbedConfig::defaults();
+  cfg.hw = e::HardwareConfig{1, 4, 1, 4};
+  const e::SoftConfig liberal{400, 200, 200};
+  std::vector<Arm> arms;  // per seed: static, then governed
+  for (const std::uint64_t seed : kClaimSeeds) {
+    e::ExperimentOptions opts =
+        claim_options(seed, {{0.0, 2500}, {60.0, 7000}, {110.0, 4000}});
+    arms.push_back({e::Experiment(cfg, opts), liberal});
+    opts.governor.enabled = true;
+    arms.push_back({e::Experiment(cfg, opts), liberal});
+  }
+  const std::vector<e::RunResult> runs = run_arms(arms, 7000);
+
+  for (std::size_t k = 0; k < kClaimSeeds.size(); ++k) {
+    const double fixed = runs[2 * k].goodput(1.0);
+    const double governed = runs[2 * k + 1].goodput(1.0);
+    EXPECT_GT(governed, 1.5 * fixed)
+        << "seed " << kClaimSeeds[k] << ": governed " << governed
+        << " vs static " << fixed;
+    EXPECT_FALSE(runs[2 * k + 1].governor_actions.empty());
+  }
 }
 
 // The JVM cost model must feel governor over-growth: thread counts track

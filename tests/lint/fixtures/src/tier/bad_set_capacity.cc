@@ -1,5 +1,5 @@
 // Fixture: SR010 — direct Pool::set_capacity outside the sanctioned resize
-// paths (src/soft, src/exp/adaptive*, src/core/governor*). Live resizes must
+// paths (src/soft, src/core/governor*). Live resizes must
 // flow through a registered soft::ResizablePoolSet controller so drain
 // accounting, capacity epochs and the JVM-sync hooks stay coherent.
 // Expected findings: SR010 at the two marked lines. The comment mention, the

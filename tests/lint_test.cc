@@ -247,9 +247,10 @@ TEST(LintScanTest, PoolResizeOnlyInSanctionedControllers) {
             (std::vector<std::string>{"SR010"}));
   EXPECT_EQ(rules_of(lint::scan_file("examples/x.cpp", code)),
             (std::vector<std::string>{"SR010"}));
-  // Sanctioned: the pool mechanism itself and the two controllers.
+  EXPECT_EQ(rules_of(lint::scan_file("src/exp/adaptive.cc", code)),
+            (std::vector<std::string>{"SR010"}));
+  // Sanctioned: the pool mechanism itself and the one controller.
   EXPECT_TRUE(lint::scan_file("src/soft/pool.cc", code).empty());
-  EXPECT_TRUE(lint::scan_file("src/exp/adaptive.cc", code).empty());
   EXPECT_TRUE(lint::scan_file("src/core/governor.cc", code).empty());
   // Near-miss identifiers and comment mentions do not fire.
   EXPECT_TRUE(lint::scan_file("src/tier/x.cc",
@@ -374,8 +375,7 @@ TEST(LintFixtureTest, DetectsEverySeededViolationExactly) {
 
 TEST(LintFixtureTest, CleanFixturesProduceNoFindings) {
   for (const char* clean : {"src/obs/ok_clock.cc", "src/exp/ok_allowed.cc",
-                            "src/exp/ok_near_miss.cc",
-                            "src/exp/adaptive_ok_resize.cc"}) {
+                            "src/exp/ok_near_miss.cc"}) {
     std::vector<std::string> errors;
     const auto fs = lint::scan_tree(SOFTRES_LINT_FIXTURE_DIR, {clean}, &errors);
     EXPECT_TRUE(errors.empty()) << clean;

@@ -103,7 +103,7 @@ TEST(SamplerTest, FindByName) {
 TEST(SamplerTest, MultipleProbesSampledTogether) {
   Testbed bed(TestbedConfig::defaults(), quick_client());
   const std::size_t columns = bed.registry().series().size();
-  // Registered after construction (as a runtime tuner does): not recorded.
+  // Registered after construction: not recorded.
   bed.registry().gauge_fn("late", [](sim::SimTime) { return 1.0; });
   bed.run();
   const obs::Timeline& tl = bed.timeline();

@@ -7,11 +7,12 @@
 namespace softres::exp {
 namespace {
 
-workload::ClientConfig quick_client(std::size_t users) {
+workload::ClientConfig quick_client(std::size_t users,
+                                    double runtime = 20.0) {
   workload::ClientConfig c;
   c.users = users;
   c.ramp_up_s = 5.0;
-  c.runtime_s = 20.0;
+  c.runtime_s = runtime;
   c.ramp_down_s = 2.0;
   return c;
 }
@@ -83,6 +84,58 @@ TEST(TestbedTest, SamplerRecordsCpuSeries) {
   ASSERT_NE(s, nullptr);
   EXPECT_GT(s->size(), 20u);
   EXPECT_GT(tl.mean_between(*s, bed.measure_start(), bed.measure_end()), 0.0);
+}
+
+TEST(ElasticLoadTest, ActiveUsersFollowSchedule) {
+  TestbedConfig cfg = TestbedConfig::defaults();
+  Testbed bed(cfg, quick_client(1000, 60.0));
+  bed.farm().set_load_schedule({{0.0, 200}, {20.0, 800}, {40.0, 300}});
+  bed.farm().start();
+  bed.simulator().run_until(10.0);
+  EXPECT_EQ(bed.farm().active_users(), 200u);
+  bed.simulator().run_until(25.0);
+  EXPECT_EQ(bed.farm().active_users(), 800u);
+  bed.simulator().run_until(65.0);
+  // Shrink is lazy (cycle boundaries) but must settle within think time.
+  EXPECT_LE(bed.farm().active_users(), 320u);
+  EXPECT_GE(bed.farm().active_users(), 250u);
+}
+
+TEST(ElasticLoadTest, ScheduleStartsWithRun) {
+  TestbedConfig cfg = TestbedConfig::defaults();
+  Testbed bed(cfg, quick_client(600, 40.0));
+  bed.farm().set_load_schedule({{0.0, 300}, {20.0, 600}});
+  bed.run();
+  EXPECT_GT(bed.farm().response_times().count(), 100u);
+  EXPECT_EQ(bed.farm().active_users(), 600u);
+}
+
+TEST(ElasticLoadTest, EmptyScheduleKeepsLegacyBehaviour) {
+  TestbedConfig cfg = TestbedConfig::defaults();
+  Testbed bed(cfg, quick_client(400, 30.0));
+  bed.run();
+  EXPECT_EQ(bed.farm().active_users(), 400u);
+}
+
+TEST(ElasticLoadTest, ThroughputTracksPopulation) {
+  // Double the active population below saturation -> ~double throughput.
+  TestbedConfig cfg = TestbedConfig::defaults();
+  Testbed bed(cfg, quick_client(1200, 120.0));
+  bed.farm().set_load_schedule({{0.0, 500}, {65.0, 1000}});
+  bed.run();
+  const auto& times = bed.farm().completion_times();
+  std::size_t first_half = 0, second_half = 0;
+  for (double t : times) {
+    // Measurement window is [5, 125); phase flips at 65.
+    if (t < 60.0) {
+      ++first_half;
+    } else if (t >= 70.0) {
+      ++second_half;
+    }
+  }
+  const double rate1 = static_cast<double>(first_half) / 55.0;
+  const double rate2 = static_cast<double>(second_half) / 55.0;
+  EXPECT_NEAR(rate2 / rate1, 2.0, 0.3);
 }
 
 TEST(ExperimentTest, RunResultConservation) {

@@ -44,10 +44,10 @@ const std::vector<RuleInfo>& rule_table() {
        "outside the profiler TU (src/support/prof.h) and src/obs; measure "
        "through obs::Profiler so the timing axis stays in one place"},
       {"SR010", "direct-pool-resize",
-       "Pool::set_capacity called outside src/soft, the AdaptiveTuner "
-       "(src/exp/adaptive*) and the Governor (src/core/governor*); live "
-       "resizes flow through a registered soft::ResizablePoolSet controller "
-       "so drain accounting, capacity epochs and resize hooks stay coherent"},
+       "Pool::set_capacity called outside src/soft and the Governor "
+       "(src/core/governor*); live resizes flow through a registered "
+       "soft::ResizablePoolSet controller so drain accounting, capacity "
+       "epochs and resize hooks stay coherent"},
       {"SR011", "layer-violation",
        "#include edge that points up or sideways in the layer DAG "
        "(tools/lint/layers.txt), or an include cycle between files; the "
@@ -395,7 +395,6 @@ std::vector<Finding> scan_lexed_file(const std::string& rel_path,
                                domain == Domain::kTool ||
                                domain == Domain::kTest;
   const bool resize_sanctioned = under(rel_path, "src/soft/") ||
-                                 under(rel_path, "src/exp/adaptive") ||
                                  under(rel_path, "src/core/governor") ||
                                  domain == Domain::kTool ||
                                  domain == Domain::kTest;
@@ -525,16 +524,15 @@ std::vector<Finding> scan_lexed_file(const std::string& rel_path,
       }
     }
 
-    // SR010 — direct pool resizes outside the sanctioned controllers. A
-    // live resize must flow through soft::ResizablePoolSet (the Governor or
-    // the AdaptiveTuner) so drain accounting, capacity epochs and the
-    // JVM-sync hooks stay coherent; src/soft owns the mechanism itself.
+    // SR010 — direct pool resizes outside the sanctioned controller. A
+    // live resize must flow through soft::ResizablePoolSet (the Governor)
+    // so drain accounting, capacity epochs and the JVM-sync hooks stay
+    // coherent; src/soft owns the mechanism itself.
     if (!resize_sanctioned && contains_token(code, "set_capacity")) {
       add(n, "SR010",
-          "direct Pool::set_capacity outside src/soft, src/exp/adaptive* and "
-          "src/core/governor*: route resizes through a registered "
-          "soft::ResizablePoolSet controller so drain accounting and resize "
-          "hooks stay coherent");
+          "direct Pool::set_capacity outside src/soft and src/core/governor*: "
+          "route resizes through a registered soft::ResizablePoolSet "
+          "controller so drain accounting and resize hooks stay coherent");
     }
 
     // SR015 — ad-hoc quantile selection outside the stats homes. The

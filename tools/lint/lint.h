@@ -42,8 +42,7 @@
 //   SR009 cycle-counter      rdtsc-family intrinsics or std::chrono timing
 //                            outside the profiler TU (src/support/prof.h)
 //                            and src/obs; obs::Profiler owns machine timing
-//   SR010 direct-pool-resize Pool::set_capacity outside src/soft, the
-//                            AdaptiveTuner (src/exp/adaptive*) and the
+//   SR010 direct-pool-resize Pool::set_capacity outside src/soft and the
 //                            Governor (src/core/governor*); live resizes
 //                            flow through soft::ResizablePoolSet controllers
 //   SR011 layer-violation    #include edge that points up or sideways in the
