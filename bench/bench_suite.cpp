@@ -14,7 +14,8 @@
 // The suite is a ladder from the bottom of the stack up: the simulator's
 // pending set (BM_EventQueueDepth, BM_EventQueueTrialMix), the CPU and pool
 // models (BM_CpuProcessorSharing, BM_PoolAcquireRelease, BM_PoolContended),
-// one trial (BM_TrialEventRate, BM_TraceAttribution) and a sweep
+// one trial (BM_TrialEventRate, BM_TraceAttribution), one contended trial
+// at a paper operating point (BM_ContendedTrial) and a sweep
 // (BM_SweepThroughput).
 //
 // Reported per benchmark, beyond wall time:
@@ -43,6 +44,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -64,6 +66,7 @@
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "soft/pool.h"
+#include "tier/request.h"
 
 using namespace softres;
 
@@ -237,26 +240,23 @@ BENCHMARK(BM_SweepThroughput)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
-// One full testbed trial at a fixed population: event rate and per-event
-// cost of the end-to-end engine (queue, callbacks, tiers, client farm).
-void BM_TrialEventRate(benchmark::State& state) {
-  const auto users = static_cast<std::size_t>(state.range(0));
+// Runs the standalone trial (cfg, client) once per iteration and reports
+// the engine's per-trial counters: events/s, ns/event and allocs/trial.
+// Returns the largest request slab any iteration carved.
+std::size_t run_trials(benchmark::State& state, const exp::TestbedConfig& cfg,
+                       const workload::ClientConfig& client) {
   std::uint64_t events = 0;
   std::uint64_t trials = 0;
+  std::size_t slab_peak = 0;
   const bench::AllocDelta allocs;
   for (auto _ : state) {
     // Standalone Testbeds don't go through Experiment::run, so mark the
     // phase boundary by hand for the allocation ledger.
     SOFTRES_PROF_PHASE(kSetup);
-    exp::TestbedConfig cfg = exp::TestbedConfig::defaults();
-    workload::ClientConfig client;
-    client.users = users;
-    client.ramp_up_s = 5.0;
-    client.runtime_s = 15.0;
-    client.ramp_down_s = 2.0;
     exp::Testbed bed(cfg, client);
     bed.run();
     events += bed.simulator().events_executed();
+    slab_peak = std::max(slab_peak, bed.context().requests().allocated());
     ++trials;
   }
   SOFTRES_PROF_PHASE(kSetup);
@@ -273,11 +273,43 @@ void BM_TrialEventRate(benchmark::State& state) {
     state.counters["setup_allocs_per_trial"] =
         static_cast<double>(allocs.setup()) / static_cast<double>(trials);
   }
+  return slab_peak;
+}
+
+// One full testbed trial at a fixed population: event rate and per-event
+// cost of the end-to-end engine (queue, callbacks, tiers, client farm).
+void BM_TrialEventRate(benchmark::State& state) {
+  workload::ClientConfig client;
+  client.users = static_cast<std::size_t>(state.range(0));
+  client.ramp_up_s = 5.0;
+  client.runtime_s = 15.0;
+  client.ramp_down_s = 2.0;
+  run_trials(state, exp::TestbedConfig::defaults(), client);
 }
 BENCHMARK(BM_TrialEventRate)
     ->Arg(500)
     ->Arg(2000)
     ->Unit(benchmark::kMillisecond);
+
+// The contended rung: the trial of the Fig 5 allocation census (1/4/1/4,
+// 400-200-200 at 7800 users, the figure benches' compressed 20/60/3 s
+// schedule, seed 42). The rungs above never queue at a pool; here thousands
+// of requests wait for Tomcat threads and DB connections at once, so this
+// is where bytes per request and queue allocations show.
+void BM_ContendedTrial(benchmark::State& state) {
+  exp::TestbedConfig cfg = exp::TestbedConfig::defaults();
+  cfg.hw = exp::HardwareConfig::parse("1/4/1/4");
+  cfg.soft = exp::SoftConfig::parse("400-200-200");
+  workload::ClientConfig client;
+  client.users = 7800;
+  client.ramp_up_s = 20.0;
+  client.runtime_s = 60.0;
+  client.ramp_down_s = 3.0;
+  const std::size_t slab_peak = run_trials(state, cfg, client);
+  state.counters["request_slab_peak"] = static_cast<double>(slab_peak);
+  state.counters["request_bytes"] = static_cast<double>(sizeof(tier::Request));
+}
+BENCHMARK(BM_ContendedTrial)->Unit(benchmark::kMillisecond);
 
 // Cost of the request-tracing + tail-attribution pipeline on one trial.
 // range(0) is the trace sample rate in percent: 0 = tracing off (the

@@ -19,7 +19,11 @@ Testbed::Testbed(const TestbedConfig& cfg,
     : owned_ctx_(std::make_unique<RunContext>(client_cfg.seed, cfg,
                                               client_cfg.users)),
       ctx_(owned_ctx_.get()), cfg_(cfg), workload_(cfg.mix, cfg.demands) {
-  build(client_cfg);
+  // Seed the farm from the derived trial seed, as Experiment::run does, so
+  // a standalone testbed replays the Experiment trial of the same identity.
+  workload::ClientConfig client = client_cfg;
+  client.seed = ctx_->trial_seed();
+  build(client);
 }
 
 void Testbed::build(const workload::ClientConfig& client_cfg) {

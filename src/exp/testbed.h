@@ -42,7 +42,9 @@ class Testbed {
 
   /// Convenience for standalone use (examples, microbenchmarks): builds and
   /// owns a RunContext whose trial seed is derived from
-  /// (client_cfg.seed, cfg.hw, cfg.soft, client_cfg.users).
+  /// (client_cfg.seed, cfg.hw, cfg.soft, client_cfg.users), and seeds the
+  /// client farm from that trial seed — the same trial Experiment::run
+  /// builds for that identity.
   Testbed(const TestbedConfig& cfg, const workload::ClientConfig& client_cfg);
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;

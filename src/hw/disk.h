@@ -1,11 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "sim/distributions.h"
 #include "sim/inline_callback.h"
+#include "sim/ring_queue.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 
@@ -38,7 +38,7 @@ class Disk {
   std::string name_;
   sim::DistributionPtr service_;
   sim::Rng rng_;
-  std::deque<Callback> queue_;
+  sim::RingQueue<Callback> queue_;
   bool busy_ = false;
   double busy_seconds_ = 0.0;
   std::uint64_t ops_ = 0;

@@ -18,7 +18,6 @@ bool Pool::try_acquire(std::uint32_t tenant) {
   occupancy_.set(sim_.now(), static_cast<double>(in_use_));
   if (arbiter_ != nullptr) {
     ++tenant_in_use_[tenant];
-    ++tenant_acquired_[tenant];
     tenant_occupancy_[tenant].set(sim_.now(),
                                   static_cast<double>(tenant_in_use_[tenant]));
   }
@@ -45,7 +44,6 @@ void Pool::set_arbiter(TenantArbiter* arbiter) {
   arbiter_ = arbiter;
   const std::size_t n = arbiter != nullptr ? arbiter->tenants() : 0;
   tenant_in_use_.assign(n, 0);
-  tenant_acquired_.assign(n, 0);
   tenant_occupancy_.assign(n, sim::TimeWeighted{});
   for (sim::TimeWeighted& occ : tenant_occupancy_) occ.reset(sim_.now());
 }
@@ -76,7 +74,6 @@ void Pool::grant_shared(Callback granted, sim::SimTime waited_since,
   ++in_use_;
   ++tenant_in_use_[tenant];
   ++total_acquired_;
-  ++tenant_acquired_[tenant];
   wait_stats_.add(sim_.now() - waited_since);
   occupancy_.set(sim_.now(), static_cast<double>(in_use_));
   tenant_occupancy_[tenant].set(sim_.now(),
@@ -92,7 +89,7 @@ void Pool::dispatch_shared() {
     const std::size_t idx = arbiter_->select(*this);
     if (idx == TenantArbiter::kNoPick) break;
     Waiter w = std::move(waiters_[idx]);
-    waiters_.erase(waiters_.begin() + static_cast<std::ptrdiff_t>(idx));
+    waiters_.erase(idx);
     grant_shared(std::move(w.granted), w.enqueued_at, w.tenant);
   }
 }
@@ -103,7 +100,6 @@ void Pool::reset_stats(sim::SimTime t) {
   occupancy_.reset(t);
   occupancy_.set(t, static_cast<double>(in_use_));
   for (std::size_t i = 0; i < tenant_occupancy_.size(); ++i) {
-    tenant_acquired_[i] = 0;
     tenant_occupancy_[i].reset(t);
     tenant_occupancy_[i].set(t, static_cast<double>(tenant_in_use_[i]));
   }

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/inline_callback.h"
+#include "sim/ring_queue.h"
 #include "sim/sim_time.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
@@ -121,9 +121,6 @@ class Pool {
   // Per-tenant views; valid only with an arbiter attached (the vectors are
   // sized to the arbiter's tenant count).
   std::size_t tenant_in_use(std::uint32_t t) const { return tenant_in_use_[t]; }
-  std::uint64_t tenant_acquired(std::uint32_t t) const {
-    return tenant_acquired_[t];
-  }
   /// Per-tenant running occupancy integral (unit-seconds); Karma's usage
   /// meter.
   double tenant_occupancy_integral(std::uint32_t t, sim::SimTime until) const {
@@ -156,7 +153,7 @@ class Pool {
   std::string name_;
   std::size_t capacity_;
   std::size_t in_use_ = 0;
-  std::deque<Waiter> waiters_;
+  sim::RingQueue<Waiter> waiters_;
   std::uint64_t total_acquired_ = 0;
   std::uint64_t drained_total_ = 0;
   sim::Welford wait_stats_;
@@ -164,14 +161,14 @@ class Pool {
   std::vector<CapacityEpoch> epochs_;
   TenantArbiter* arbiter_ = nullptr;
   std::vector<std::size_t> tenant_in_use_;
-  std::vector<std::uint64_t> tenant_acquired_;
   std::vector<sim::TimeWeighted> tenant_occupancy_;
 };
 
 // acquire/release bracket every request's residence in every tier (two pools
 // in Tomcat alone), so the uncontended paths — counter bump, stats update,
 // synchronous grant — stay in the header and inline into the tier state
-// machines. The contended-path deque traffic is rare by comparison.
+// machines. The contended path queues on a grow-only ring, which allocates
+// only while a queue outgrows its high-water mark.
 
 inline void Pool::grant(Callback granted, sim::SimTime waited_since) {
   ++in_use_;

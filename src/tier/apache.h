@@ -38,6 +38,10 @@ class ApacheServer : public Server {
   /// wait).
   void handle(const RequestPtr& req, Callback responded);
 
+  /// Return path of a dynamic request's Tomcat visit: TomcatServer::submit
+  /// ends here once the servlet's response leaves Tomcat.
+  static void on_tomcat_reply(Request* r);
+
   soft::Pool& worker_pool() { return workers_; }
   const soft::Pool& worker_pool() const { return workers_; }
   hw::Node& node() { return node_; }

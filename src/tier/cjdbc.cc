@@ -3,6 +3,8 @@
 #include <cassert>
 #include <utility>
 
+#include "tier/tomcat.h"
+
 namespace softres::tier {
 
 CJdbcServer::CJdbcServer(sim::Simulator& sim, std::string name, hw::Node& node,
@@ -15,36 +17,33 @@ CJdbcServer::CJdbcServer(sim::Simulator& sim, std::string name, hw::Node& node,
   set_profile_subsystem(prof::Subsystem::kCJdbcService);
 }
 
-void CJdbcServer::query(const RequestPtr& req, Callback done) {
+void CJdbcServer::query(Request* r) {
   assert(!backends_.empty());
   // Residence state lives in the request (see Request::CJdbcVisitState) so
   // the stage callbacks below capture a bare Request* and stay inline.
-  auto& v = req->cjdbc_visit;
-  v.self = req;
+  auto& v = r->cjdbc_visit;
   v.server = this;
   v.entered = sim().now();
-  v.gc0 = req->trace ? jvm_.total_gc_seconds() : 0.0;
-  v.done = std::move(done);
+  if (r->trace) r->trace->cjdbc_gc0 = jvm_.total_gc_seconds();
   job_entered();
 
   // Query parsing + routing consumes middleware CPU; the JVM charges each
   // query's allocations against the shared young generation.
   jvm_.allocate(alloc_per_query_mb_);
-  const double demand = req->cjdbc_demand_s * jvm_.runtime_overhead_factor();
+  const double demand = r->cjdbc_demand_s * jvm_.runtime_overhead_factor();
 
   v.backend = backends_[next_backend_];
   next_backend_ = (next_backend_ + 1) % backends_.size();
 
-  Request* r = req.get();
   node_.cpu().submit(demand, [this, r] {
-    down_link_.send(r->request_bytes, [this, r] {
-      r->cjdbc_visit.backend->query(RequestPtr(r), [r] {
-        auto& cv = r->cjdbc_visit;
-        cv.server->up_link_.send(r->response_bytes * 0.25,
-                                 [r] { finish_query(r); });
-      });
-    });
+    down_link_.send(r->request_bytes,
+                    [r] { r->cjdbc_visit.backend->query(r); });
   });
+}
+
+void CJdbcServer::on_backend_reply(Request* r) {
+  CJdbcServer* self = r->cjdbc_visit.server;
+  self->up_link_.send(r->response_bytes * 0.25, [r] { finish_query(r); });
 }
 
 void CJdbcServer::finish_query(Request* r) {
@@ -54,11 +53,9 @@ void CJdbcServer::finish_query(Request* r) {
   if (r->trace) {
     r->record_span(self->name(), v.entered, self->sim().now(),
                    /*queue_s=*/0.0, /*conn_queue_s=*/0.0,
-                   self->jvm_.total_gc_seconds() - v.gc0);
+                   self->jvm_.total_gc_seconds() - r->trace->cjdbc_gc0);
   }
-  Callback done = std::move(v.done);
-  RequestPtr keep = std::move(v.self);  // alive until done() returns
-  done();
+  TomcatServer::on_query_reply(r);
 }
 
 }  // namespace softres::tier

@@ -21,17 +21,20 @@ namespace softres::tier {
 /// Section III-B.
 class CJdbcServer : public Server {
  public:
-  using Callback = sim::InlineCallback;
-
   CJdbcServer(sim::Simulator& sim, std::string name, hw::Node& node,
               jvm::JvmConfig jvm_config, hw::Link& down_link,
               hw::Link& up_link, double alloc_per_query_mb);
 
   void add_backend(MySqlServer& db) { backends_.push_back(&db); }
 
-  /// Route one SQL query to a backend; `done` fires when the result has
-  /// travelled back up to this server.
-  void query(const RequestPtr& req, Callback done);
+  /// Route one SQL query of a Tomcat visit to a backend; ends in
+  /// TomcatServer::on_query_reply when the result has travelled back up to
+  /// this server.
+  void query(Request* r);
+
+  /// Return path of a query's MySQL visit: MySqlServer::query ends here once
+  /// the result is ready to ship.
+  static void on_backend_reply(Request* r);
 
   /// Total upstream DB connections = live request-handling threads. Called by
   /// the testbed builder after the soft configuration is applied.

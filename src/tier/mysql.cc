@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "tier/cjdbc.h"
+
 namespace softres::tier {
 
 MySqlServer::MySqlServer(sim::Simulator& sim, std::string name, hw::Node& node,
@@ -10,17 +12,14 @@ MySqlServer::MySqlServer(sim::Simulator& sim, std::string name, hw::Node& node,
   set_profile_subsystem(prof::Subsystem::kMySqlService);
 }
 
-void MySqlServer::query(const RequestPtr& req, Callback done) {
+void MySqlServer::query(Request* r) {
   // Residence state lives in the request (see Request::MySqlVisitState) so
   // the stage callbacks below capture a bare Request* and stay inline.
-  auto& v = req->mysql_visit;
-  v.self = req;
+  auto& v = r->mysql_visit;
   v.server = this;
   v.entered = sim().now();
-  v.done = std::move(done);
   job_entered();
-  const bool disk_hit = rng_.bernoulli(req->mysql_disk_prob);
-  Request* r = req.get();
+  const bool disk_hit = rng_.bernoulli(r->mysql_disk_prob);
   if (disk_hit) {
     node_.cpu().submit(r->mysql_demand_s, [r] {
       auto& mv = r->mysql_visit;
@@ -36,9 +35,7 @@ void MySqlServer::finish_query(Request* r) {
   MySqlServer* self = v.server;
   self->job_left(v.entered);
   r->record_span(self->name(), v.entered, self->sim().now());
-  Callback done = std::move(v.done);
-  RequestPtr keep = std::move(v.self);  // alive until done() returns
-  done();
+  CJdbcServer::on_backend_reply(r);
 }
 
 }  // namespace softres::tier

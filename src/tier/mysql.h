@@ -15,13 +15,12 @@ namespace softres::tier {
 /// connection = one MySQL thread observation.
 class MySqlServer : public Server {
  public:
-  using Callback = sim::InlineCallback;
-
   MySqlServer(sim::Simulator& sim, std::string name, hw::Node& node,
               sim::Rng rng);
 
-  /// Execute one SQL query; `done` fires when the result is ready to ship.
-  void query(const RequestPtr& req, Callback done);
+  /// Execute one SQL query of a C-JDBC visit; ends in
+  /// CJdbcServer::on_backend_reply when the result is ready to ship.
+  void query(Request* r);
 
   hw::Node& node() { return node_; }
   const hw::Node& node() const { return node_; }

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
@@ -23,13 +23,12 @@ class CJdbcServer;
 class MySqlServer;
 
 /// Intrusive smart pointer to a Request (declared ahead of Request so the
-/// request's in-flight continuation blocks can hold keep-alive copies;
-/// member definitions follow the Request definition). Copying bumps a plain
-/// (non-atomic) counter; the last owner returns the Request to its arena's
-/// freelist, or deletes it when the Request was heap-allocated without an
-/// arena (tests, ad-hoc tools). Replaces std::shared_ptr<Request> on the hot
-/// path: half the capture footprint (8 bytes vs 16) and no lock-prefixed
-/// refcount traffic.
+/// request's keep-alive blocks can hold copies; member definitions follow
+/// the Request definition). Copying bumps a plain (non-atomic) counter; the
+/// last owner returns the Request to its arena's freelist, or deletes it
+/// when the Request was heap-allocated without an arena (tests, ad-hoc
+/// tools). Replaces std::shared_ptr<Request> on the hot path: half the
+/// capture footprint (8 bytes vs 16) and no lock-prefixed refcount traffic.
 class RequestPtr {
  public:
   RequestPtr() noexcept = default;
@@ -83,6 +82,11 @@ enum class RequestKind {
 /// One HTTP request travelling down the invocation chain. The workload
 /// generator samples the per-tier demands when the interaction is chosen so
 /// servers stay policy-free.
+///
+/// A trial holds thousands of these at the paper's operating points (Fig 5
+/// at 7800 users peaks at ~4.5k live requests), so the byte count matters:
+/// fields are ordered so the header carries no padding, and state that only
+/// a traced span reads lives in the separately allocated Trace block.
 struct Request {
   std::uint64_t id = 0;
   RequestKind kind = RequestKind::kDynamic;
@@ -91,10 +95,10 @@ struct Request {
   /// trials). Rides the whole invocation chain so every soft-pool grant along
   /// the way is attributed to — and arbitrated for — the right tenant.
   std::uint32_t tenant = 0;
+  int num_queries = 0;  // SQL queries this servlet issues
 
   // Sampled demands.
   double apache_demand_s = 0.0;  // HTTP parsing + response assembly
-  int num_queries = 0;           // SQL queries this servlet issues
   double tomcat_demand_s = 0.0;  // servlet execution CPU (total, split 70/30
                                  // around the DB phase)
   double cjdbc_demand_s = 0.0;   // middleware CPU per query
@@ -136,6 +140,14 @@ struct Request {
   /// the hot path pay exactly one pointer-null check when tracing is off.
   struct Trace {
     std::vector<TraceSpan> spans;
+    // Sub-phase marks of the visits in flight. Only a recorded span reads
+    // them, so the untraced path never stores them.
+    sim::SimTime apache_arrived = 0.0;     // joined Apache's worker queue
+    sim::SimTime tomcat_arrived = 0.0;     // joined Tomcat's thread queue
+    sim::SimTime conn_wait_started = 0.0;  // joined the DB-connection queue
+    double conn_queue_s = 0.0;             // DB-connection wait
+    double tomcat_gc0 = 0.0;  // JVM GC seconds when the Tomcat visit began
+    double cjdbc_gc0 = 0.0;   // ... and when the C-JDBC visit began
   };
   std::unique_ptr<Trace> trace;
 
@@ -159,21 +171,24 @@ struct Request {
                   fin_wait_s});
   }
 
-  /// In-flight continuation state for the hot query loop (Tomcat -> C-JDBC
-  /// -> MySQL). The loop used to thread its state through nested closures —
-  /// each stage capturing a RequestPtr plus the 40-byte downstream callback,
-  /// which outgrows InlineFunction's inline buffer and heap-boxes roughly
-  /// ten captures per query. Parking that state here instead lets every
-  /// stage callback capture a raw Request* (8 bytes, trivially copyable:
-  /// always inline) and recycles the storage with the request itself.
+  /// In-flight state of each tier's visit. Parking it here lets every stage
+  /// callback capture a bare Request* (8 bytes, trivially copyable: always
+  /// inline in InlineFunction) and recycles the storage with the request.
   ///
-  /// Protocol: a tier fills its block on entry (including the `self`
-  /// keep-alive) and moves `self`/`done` back out before invoking the
-  /// continuation, so blocks are empty whenever the request is at rest. At
-  /// most one visit per tier is in flight per request — the query loop is
-  /// sequential — so one block per tier suffices. A filled block makes the
-  /// request own a reference to itself; RequestArena's destructor breaks
-  /// those cycles for trials that tear down with requests mid-flight.
+  /// Protocol: a tier fills its block on entry; the block is dead once the
+  /// visit is over. Only the client hold and the Apache visit keep the
+  /// request alive, and they empty their `self` before the request comes to
+  /// rest. Every inner visit nests inside the Apache visit, so the inner
+  /// tiers hold no reference and keep no continuation: each returns to its
+  /// one fixed caller through a direct static call (MySqlServer ->
+  /// CJdbcServer::on_backend_reply, CJdbcServer ->
+  /// TomcatServer::on_query_reply, TomcatServer ->
+  /// ApacheServer::on_tomcat_reply) that reads the caller from the caller's
+  /// own block. At most one visit per tier is in flight per request — the
+  /// query loop is sequential — so one block per tier suffices. A filled
+  /// keep-alive block makes the request own a reference to itself;
+  /// RequestArena's destructor breaks those cycles for trials that tear down
+  /// with requests mid-flight.
   struct ClientHoldState {  // client farm: keeps the request alive from
     RequestPtr self;        // link send until the response callback
     std::uint32_t user = 0;
@@ -183,7 +198,6 @@ struct Request {
   struct ApacheVisitState {  // one page's Apache residence
     RequestPtr self;
     ApacheServer* server = nullptr;
-    sim::SimTime arrived = 0.0;
     sim::SimTime worker_started = 0.0;
     sim::SimTime conn_started = 0.0;
     sim::InlineCallback responded;
@@ -193,39 +207,23 @@ struct Request {
     soft::PoolGuard worker;
   } apache_visit;
   struct TomcatVisitState {  // one page's Tomcat residence
-    RequestPtr self;
     TomcatServer* server = nullptr;
-    sim::SimTime arrived = 0.0;
     sim::SimTime entered = 0.0;
-    sim::SimTime conn_wait_started = 0.0;
-    double conn_queue_s = 0.0;
-    double gc0 = 0.0;
-    sim::InlineCallback done;
     // The servlet thread and (for query-bearing requests) the DB
     // connection, adopted in their grant callbacks and released where the
     // corresponding phase ends (tomcat.cc).
     soft::PoolGuard thread;
     soft::PoolGuard db_conn;
+    int remaining = 0;  // queries of the DB phase not yet answered
   } tomcat_visit;
-  struct QueryLoopState {  // Tomcat's per-request query loop
-    RequestPtr self;
-    TomcatServer* tomcat = nullptr;
-    int remaining = 0;
-    sim::InlineCallback done;  // fires once every query has been answered
-  } query_loop;
   struct CJdbcVisitState {  // one query's C-JDBC residence
-    RequestPtr self;
     CJdbcServer* server = nullptr;
     MySqlServer* backend = nullptr;
     sim::SimTime entered = 0.0;
-    double gc0 = 0.0;
-    sim::InlineCallback done;
   } cjdbc_visit;
   struct MySqlVisitState {  // one query's MySQL residence
-    RequestPtr self;
     MySqlServer* server = nullptr;
     sim::SimTime entered = 0.0;
-    sim::InlineCallback done;
   } mysql_visit;
 
   /// Intrusive bookkeeping, managed by RequestPtr / RequestArena. The count
@@ -233,18 +231,19 @@ struct Request {
   /// and a trial runs on exactly one thread (see exp::RunContext), so the
   /// atomic increments std::shared_ptr pays on every lambda capture along the
   /// Apache -> Tomcat -> C-JDBC -> MySQL chain buy nothing here.
-  std::uint32_t refs_ = 0;
   RequestArena* arena_ = nullptr;
+  std::uint32_t refs_ = 0;
 
   /// Restore the sampled/recorded fields to their freshly-constructed state
-  /// (refs_/arena_ excluded; the arena manages those across recycles).
+  /// (refs_/arena_ excluded; the arena manages those across recycles). Visit
+  /// blocks are overwritten on entry, so only their owning members matter.
   void reset_for_reuse() {
     id = 0;
     kind = RequestKind::kDynamic;
     interaction = 0;
     tenant = 0;
-    apache_demand_s = 0.0;
     num_queries = 0;
+    apache_demand_s = 0.0;
     tomcat_demand_s = 0.0;
     cjdbc_demand_s = 0.0;
     mysql_demand_s = 0.0;
@@ -259,13 +258,13 @@ struct Request {
     assert(!client_hold.self);
     assert(!apache_visit.self && !apache_visit.responded);
     assert(!apache_visit.worker);
-    assert(!tomcat_visit.self && !tomcat_visit.done);
     assert(!tomcat_visit.thread && !tomcat_visit.db_conn);
-    assert(!query_loop.self && !query_loop.done);
-    assert(!cjdbc_visit.self && !cjdbc_visit.done);
-    assert(!mysql_visit.self && !mysql_visit.done);
   }
 };
+
+// The paper's operating points keep thousands of requests live per trial, so
+// this size is a memory budget (perfbench reports it as mem.request_bytes).
+static_assert(sizeof(Request) <= 336, "tier::Request outgrew its budget");
 
 inline RequestPtr::RequestPtr(Request* p) noexcept : p_(p) {
   if (p_ != nullptr) ++p_->refs_;
@@ -278,30 +277,33 @@ inline std::uint32_t RequestPtr::use_count() const noexcept {
 }
 
 /// Freelist-backed pool of Request objects for one trial. Requests are
-/// carved from a std::deque slab (stable addresses, chunked allocation) and
-/// recycled through a LIFO freelist, so the steady-state request churn of a
-/// trial — two allocations per page with std::make_shared — touches the
-/// allocator only while the pool is still growing toward the trial's peak
-/// concurrency. Owned by exp::RunContext, which declares it before the
-/// Simulator: pending callbacks capture RequestPtrs, and their destructors
+/// carved from fixed chunks of kChunk (stable addresses, one allocation per
+/// chunk) and recycled through a LIFO freelist, so a trial touches the
+/// allocator once per kChunk requests while the pool grows toward the
+/// trial's peak concurrency and never after. Owned by exp::RunContext, which
+/// declares it before the Simulator: anything a pending event still holds
 /// must find the arena alive when the engine is torn down.
 ///
 /// Not thread-safe by design — one arena per trial, one trial per thread.
 class RequestArena {
  public:
+  /// Requests per slab chunk.
+  static constexpr std::size_t kChunk = 64;
+
   RequestArena() = default;
   RequestArena(const RequestArena&) = delete;
   RequestArena& operator=(const RequestArena&) = delete;
   ~RequestArena() {
     // A trial that stops at its horizon tears down with requests mid-flight,
-    // and an in-flight request owns its own continuation state: e.g.
-    // query_loop.done captures a RequestPtr back to its own request. Break
-    // those cycles before the drain check — in two phases, stealing every
-    // block first so phase two's cascading releases (which recycle requests
-    // and assert their blocks are empty) never see a filled block.
+    // and an in-flight request owns a reference to itself through its
+    // keep-alive blocks (and `responded` may capture more). Break those
+    // cycles before the drain check — in two phases, stealing every block
+    // first so phase two's cascading releases (which recycle requests and
+    // assert their blocks are empty) never see a filled block.
     std::vector<RequestPtr> keeps;
     std::vector<sim::InlineCallback> dones;
-    for (Request& r : slab_) {
+    for (std::size_t i = 0; i < carved_; ++i) {
+      Request& r = slot(i);
       // Parked pool units are detached, not released: the pools live in the
       // Testbed, which the run tears down before this arena, and a release
       // would also synchronously grant a waiter mid-teardown. A trial that
@@ -311,22 +313,14 @@ class RequestArena {
       r.tomcat_visit.db_conn.detach();
       keeps.push_back(std::move(r.client_hold.self));
       keeps.push_back(std::move(r.apache_visit.self));
-      keeps.push_back(std::move(r.tomcat_visit.self));
-      keeps.push_back(std::move(r.query_loop.self));
-      keeps.push_back(std::move(r.cjdbc_visit.self));
-      keeps.push_back(std::move(r.mysql_visit.self));
       dones.push_back(std::move(r.apache_visit.responded));
-      dones.push_back(std::move(r.tomcat_visit.done));
-      dones.push_back(std::move(r.query_loop.done));
-      dones.push_back(std::move(r.cjdbc_visit.done));
-      dones.push_back(std::move(r.mysql_visit.done));
     }
     dones.clear();
     keeps.clear();
     // Every request must now be back in the freelist: the arena outlives
     // all other RequestPtrs by the RunContext/Testbed member-ordering
     // contract.
-    assert(free_.size() == slab_.size());
+    assert(free_.size() == carved_);
   }
 
   /// A fresh (default-state) request owned by this arena.
@@ -337,15 +331,17 @@ class RequestArena {
       r = free_.back();
       free_.pop_back();
     } else {
-      slab_.emplace_back();
-      r = &slab_.back();
+      if (carved_ % kChunk == 0) {
+        chunks_.push_back(std::make_unique<Request[]>(kChunk));
+      }
+      r = &slot(carved_++);
       r->arena_ = this;
     }
     return RequestPtr(r);
   }
 
   /// Slab high-water mark: distinct Request objects ever carved.
-  std::size_t allocated() const { return slab_.size(); }
+  std::size_t allocated() const { return carved_; }
   /// Requests currently sitting in the freelist.
   std::size_t free_count() const { return free_.size(); }
 
@@ -355,8 +351,10 @@ class RequestArena {
     r->reset_for_reuse();
     free_.push_back(r);
   }
+  Request& slot(std::size_t i) { return chunks_[i / kChunk][i % kChunk]; }
 
-  std::deque<Request> slab_;
+  std::vector<std::unique_ptr<Request[]>> chunks_;
+  std::size_t carved_ = 0;
   std::vector<Request*> free_;
 };
 

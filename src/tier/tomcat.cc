@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "soft/pool_set.h"
+#include "tier/apache.h"
 
 namespace softres::tier {
 
@@ -22,15 +23,11 @@ TomcatServer::TomcatServer(sim::Simulator& sim, std::string name,
   set_profile_subsystem(prof::Subsystem::kTomcatService);
 }
 
-void TomcatServer::submit(const RequestPtr& req, Callback done) {
+void TomcatServer::submit(Request* r) {
   // Residence state lives in the request (see Request::TomcatVisitState) so
   // the stage callbacks capture a bare Request* and stay inline.
-  auto& v = req->tomcat_visit;
-  v.self = req;
-  v.server = this;
-  v.arrived = sim().now();
-  v.done = std::move(done);
-  Request* r = req.get();
+  r->tomcat_visit.server = this;
+  if (r->trace) r->trace->tomcat_arrived = sim().now();
   threads_.acquire(
       [r] {
         // Adopt the grant into the request's guard before anything can exit:
@@ -39,39 +36,38 @@ void TomcatServer::submit(const RequestPtr& req, Callback done) {
         tv.thread.adopt(tv.server->threads_, r->tenant);
         on_thread(r);
       },
-      req->tenant);
+      r->tenant);
 }
 
 void TomcatServer::on_thread(Request* r) {
   auto& v = r->tomcat_visit;
   TomcatServer* self = v.server;
   v.entered = self->sim().now();
-  v.gc0 = r->trace ? self->jvm_.total_gc_seconds() : 0.0;
+  if (r->trace) r->trace->tomcat_gc0 = self->jvm_.total_gc_seconds();
   self->job_entered();
   self->jvm_.allocate(self->alloc_per_request_mb_);
   const double pre_demand = r->tomcat_demand_s * kPreDbCpuFraction *
                             self->jvm_.runtime_overhead_factor();
 
   self->node_.cpu().submit(pre_demand, [r] {
-    auto& pv = r->tomcat_visit;
-    TomcatServer* s = pv.server;
+    TomcatServer* s = r->tomcat_visit.server;
     if (r->num_queries <= 0) {
-      pv.conn_queue_s = 0.0;
       finish_visit(r);
       return;
     }
     // Hold one DB connection for the entire query phase (Fig 9).
-    pv.conn_wait_started = s->sim().now();
+    if (r->trace) r->trace->conn_wait_started = s->sim().now();
     s->db_conns_.acquire(
         [r] {
           auto& cv = r->tomcat_visit;
           TomcatServer* cs = cv.server;
           cv.db_conn.adopt(cs->db_conns_, r->tenant);
-          cv.conn_queue_s = cs->sim().now() - cv.conn_wait_started;
-          cs->run_queries(RequestPtr(r), r->num_queries, [r] {
-            r->tomcat_visit.db_conn.release();
-            finish_visit(r);
-          });
+          if (r->trace) {
+            r->trace->conn_queue_s =
+                cs->sim().now() - r->trace->conn_wait_started;
+          }
+          cv.remaining = r->num_queries;
+          query_loop_step(r);
         },
         r->tenant);
   });
@@ -88,29 +84,16 @@ void TomcatServer::finish_visit(Request* r) {
     TomcatServer* s = fv.server;
     s->job_left(fv.entered);
     if (r->trace) {
+      const Request::Trace& t = *r->trace;
       r->record_span(s->name(), fv.entered, s->sim().now(),
-                     fv.entered - fv.arrived, fv.conn_queue_s,
-                     s->jvm_.total_gc_seconds() - fv.gc0);
+                     fv.entered - t.tomcat_arrived, t.conn_queue_s,
+                     s->jvm_.total_gc_seconds() - t.tomcat_gc0);
     }
+    // The thread goes back first — its release may grant a queued request
+    // synchronously — and only then does the response head for Apache.
     fv.thread.release();
-    Callback done = std::move(fv.done);
-    RequestPtr keep = std::move(fv.self);  // alive until done() returns
-    done();
+    ApacheServer::on_tomcat_reply(r);
   });
-}
-
-void TomcatServer::run_queries(const RequestPtr& req, int remaining,
-                               Callback done) {
-  // Park the loop state in the request (see Request::QueryLoopState): the
-  // per-query continuations below then capture a bare Request* and stay
-  // inside InlineFunction's inline buffer instead of heap-boxing a
-  // RequestPtr + nested-callback capture three times per query.
-  auto& loop = req->query_loop;
-  loop.self = req;
-  loop.tomcat = this;
-  loop.remaining = remaining;
-  loop.done = std::move(done);
-  query_loop_step(req.get());
 }
 
 void TomcatServer::register_soft_resources(soft::ResizablePoolSet& set) {
@@ -121,23 +104,26 @@ void TomcatServer::register_soft_resources(soft::ResizablePoolSet& set) {
   });
 }
 
+// One step of the DB phase: send the next query to C-JDBC, which answers
+// through on_query_reply(); once every query is answered, give the
+// connection back and run the post-DB CPU phase.
 void TomcatServer::query_loop_step(Request* r) {
-  auto& loop = r->query_loop;
-  if (loop.remaining <= 0) {
-    Callback done = std::move(loop.done);
-    RequestPtr keep = std::move(loop.self);  // alive until done() returns
-    done();
+  auto& v = r->tomcat_visit;
+  if (v.remaining <= 0) {
+    v.db_conn.release();
+    finish_visit(r);
     return;
   }
-  TomcatServer* self = loop.tomcat;
-  self->down_link_.send(r->request_bytes, [self, r] {
-    self->cjdbc_.query(RequestPtr(r), [r] {
-      auto& ql = r->query_loop;
-      ql.tomcat->up_link_.send(r->response_bytes * 0.25, [r] {
-        --r->query_loop.remaining;
-        query_loop_step(r);
-      });
-    });
+  TomcatServer* self = v.server;
+  self->down_link_.send(r->request_bytes,
+                        [self, r] { self->cjdbc_.query(r); });
+}
+
+void TomcatServer::on_query_reply(Request* r) {
+  TomcatServer* self = r->tomcat_visit.server;
+  self->up_link_.send(r->response_bytes * 0.25, [r] {
+    --r->tomcat_visit.remaining;
+    query_loop_step(r);
   });
 }
 

@@ -19,19 +19,22 @@ namespace softres::tier {
 /// one connection for its whole DB phase, per Fig 9).
 class TomcatServer : public Server {
  public:
-  using Callback = sim::InlineCallback;
-
   TomcatServer(sim::Simulator& sim, std::string name, hw::Node& node,
                jvm::JvmConfig jvm_config, std::size_t threads,
                std::size_t db_connections, CJdbcServer& cjdbc,
                hw::Link& down_link, hw::Link& up_link,
                double alloc_per_request_mb);
 
-  /// Process one dynamic request; `done` fires when the response leaves this
-  /// server. The caller (an Apache worker) blocks in our thread-pool queue
-  /// until a Tomcat thread picks the request up — that queue is exactly the
-  /// "waiting for a Tomcat connection" state of Figs 7–8.
-  void submit(const RequestPtr& req, Callback done);
+  /// Process one dynamic request inside its Apache visit; ends in
+  /// ApacheServer::on_tomcat_reply when the response leaves this server. The
+  /// caller (an Apache worker) blocks in our thread-pool queue until a Tomcat
+  /// thread picks the request up — that queue is exactly the "waiting for a
+  /// Tomcat connection" state of Figs 7–8.
+  void submit(Request* r);
+
+  /// Return path of one query's C-JDBC visit: CJdbcServer::query ends here
+  /// once the result is back in the middleware.
+  static void on_query_reply(Request* r);
 
   soft::Pool& thread_pool() { return threads_; }
   const soft::Pool& thread_pool() const { return threads_; }
@@ -53,10 +56,9 @@ class TomcatServer : public Server {
   void register_soft_resources(soft::ResizablePoolSet& set) override;
 
  private:
-  void run_queries(const RequestPtr& req, int remaining, Callback done);
   // Stages of a request's residence and its query loop (state in
-  // req->tomcat_visit / req->query_loop); static so the hot-path callbacks
-  // capture nothing but the Request*.
+  // req->tomcat_visit); static so the hot-path callbacks capture nothing but
+  // the Request*.
   static void on_thread(Request* r);
   static void finish_visit(Request* r);
   static void query_loop_step(Request* r);

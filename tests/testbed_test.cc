@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "exp/experiment.h"
 
 namespace softres::exp {
@@ -73,6 +76,34 @@ TEST(TestbedTest, SeedChangesTrajectory) {
   b.run();
   EXPECT_NE(a.farm().response_times().mean(),
             b.farm().response_times().mean());
+}
+
+// The standalone constructor builds the trial Experiment::run builds for the
+// same (seed, topology, allocation, users): both seed the client farm from
+// the derived trial seed, not from the base seed.
+TEST(TestbedTest, StandaloneMatchesExperimentRun) {
+  TestbedConfig cfg = TestbedConfig::defaults();
+  const SoftConfig soft{100, 20, 20};
+  const std::size_t users = 300;
+  ExperimentOptions opts;
+  opts.client = quick_client(users);
+  const RunResult r = Experiment(cfg, opts).run(soft, users);
+
+  cfg.soft = soft;
+  Testbed bed(cfg, quick_client(users));
+  bed.run();
+  const workload::ClientFarm& farm = bed.farm();
+  EXPECT_EQ(bed.context().trial_seed(), r.trial_seed);
+  EXPECT_EQ(farm.window_throughput(), r.throughput);
+  for (double thr : {0.2, 1.0}) {
+    EXPECT_DOUBLE_EQ(farm.goodput(thr), r.goodput(thr)) << "at " << thr;
+  }
+  std::vector<double> standalone = farm.response_times().raw();
+  std::vector<double> experiment = r.response_times.raw();
+  std::sort(standalone.begin(), standalone.end());
+  std::sort(experiment.begin(), experiment.end());
+  ASSERT_FALSE(standalone.empty());
+  EXPECT_EQ(standalone, experiment);
 }
 
 TEST(TestbedTest, SamplerRecordsCpuSeries) {

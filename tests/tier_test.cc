@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <vector>
 
 #include "hw/link.h"
 #include "hw/node.h"
@@ -25,6 +27,7 @@ struct Rig {
   std::unique_ptr<TomcatServer> tomcat;
   std::unique_ptr<ApacheServer> apache;
   double client_load = 0.0;
+  RequestArena* arena = nullptr;  // requests come from here when set
 
   explicit Rig(std::size_t apache_threads = 10, std::size_t tomcat_threads = 4,
                std::size_t conns = 4) {
@@ -56,7 +59,7 @@ struct Rig {
   }
 
   RequestPtr make_dynamic(int queries = 2) {
-    auto req = make_request();
+    auto req = make_request(arena);
     req->kind = RequestKind::kDynamic;
     req->num_queries = queries;
     req->apache_demand_s = 0.0002;
@@ -68,7 +71,7 @@ struct Rig {
   }
 
   RequestPtr make_static() {
-    auto req = make_request();
+    auto req = make_request(arena);
     req->kind = RequestKind::kStatic;
     req->num_queries = 0;
     req->apache_demand_s = 0.0001;
@@ -236,6 +239,104 @@ TEST(TierTest, RoundRobinAcrossTomcats) {
   EXPECT_EQ(done, 6);
   EXPECT_EQ(rig.tomcat->window_completed(), 3u);
   EXPECT_EQ(tomcat2.window_completed(), 3u);
+}
+
+TEST(RequestArenaTest, CarvingPastAChunkKeepsEarlierRequestsInPlace) {
+  RequestArena arena;
+  const std::size_t n = 3 * RequestArena::kChunk + 5;
+  std::vector<RequestPtr> held;
+  std::vector<Request*> addrs;
+  for (std::size_t i = 0; i < n; ++i) {
+    held.push_back(arena.acquire());
+    held.back()->id = i;
+    addrs.push_back(held.back().get());
+  }
+  EXPECT_EQ(arena.allocated(), n);
+  EXPECT_EQ(arena.free_count(), 0u);
+  // Reads through the addresses taken before later chunks were carved: a
+  // slab that relocated its requests would fail here (and under ASan, trap).
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(addrs[i]->id, i);
+  EXPECT_EQ(std::set<Request*>(addrs.begin(), addrs.end()).size(), n);
+  held.clear();
+  EXPECT_EQ(arena.free_count(), n);
+  EXPECT_EQ(arena.allocated(), n);
+}
+
+TEST(RequestArenaTest, AllocatedCountsCarvedRequestsNotAcquires) {
+  RequestArena arena;
+  {
+    RequestPtr a = arena.acquire();
+    RequestPtr b = arena.acquire();
+    EXPECT_EQ(arena.allocated(), 2u);
+  }
+  EXPECT_EQ(arena.free_count(), 2u);
+  for (int i = 0; i < 10; ++i) {
+    RequestPtr again = arena.acquire();  // recycled, not carved
+    EXPECT_EQ(arena.allocated(), 2u);
+  }
+  EXPECT_EQ(arena.free_count(), 2u);
+}
+
+TEST(RequestArenaTest, RecyclesLastInFirstOutAndResetsState) {
+  RequestArena arena;
+  RequestPtr a = arena.acquire();
+  RequestPtr b = arena.acquire();
+  RequestPtr c = arena.acquire();
+  Request* pa = a.get();
+  Request* pb = b.get();
+  Request* pc = c.get();
+  b->id = 7;
+  b->num_queries = 3;
+  b->enable_trace();
+  a.reset();
+  c.reset();
+  b.reset();  // freelist, oldest first: a, c, b
+  RequestPtr x = arena.acquire();
+  RequestPtr y = arena.acquire();
+  RequestPtr z = arena.acquire();
+  EXPECT_EQ(x.get(), pb);
+  EXPECT_EQ(y.get(), pc);
+  EXPECT_EQ(z.get(), pa);
+  EXPECT_EQ(x->id, 0u);
+  EXPECT_EQ(x->num_queries, 0);
+  EXPECT_FALSE(x->traced());
+  EXPECT_EQ(arena.allocated(), 3u);
+}
+
+// A trial that stops at its horizon tears down with requests parked in every
+// tier: waiting for an Apache worker, waiting for a Tomcat DB connection and
+// queued at MySQL's disk. Destroying the engine and the servers, then the
+// arena, must break the requests' keep-alive cycles and free what they hold.
+// The ASan+UBSan build checks the memory side; the token checks that every
+// parked `responded` callback was destroyed rather than leaked.
+TEST(RequestArenaTest, HorizonTeardownWithRequestsParkedInEveryTier) {
+  const auto token = std::make_shared<int>(0);
+  // Outlives the rig, as the arena outlives the engine in exp::RunContext.
+  auto arena = std::make_unique<RequestArena>();
+  {
+    Rig rig(/*apache_threads=*/4, /*tomcat_threads=*/3, /*conns=*/2);
+    rig.arena = arena.get();
+    for (int i = 0; i < 10; ++i) {
+      RequestPtr req = rig.make_dynamic(2);
+      req->mysql_disk_prob = 1.0;
+      if (i % 2 == 0) req->enable_trace();
+      rig.apache->handle(req, [token] { ++*token; });
+    }
+    hw::Disk& disk = rig.db_node->disk();
+    while (disk.queue_length() < 2 && rig.sim.step()) {
+    }
+    ASSERT_GE(disk.queue_length(), 2u);
+    EXPECT_GT(rig.apache->worker_pool().waiting(), 0u);
+    EXPECT_GT(rig.tomcat->thread_pool().waiting(), 0u);
+    EXPECT_GT(rig.tomcat->connection_pool().waiting(), 0u);
+    EXPECT_EQ(*token, 0);  // nothing has responded yet
+  }
+  // The rig is gone; the parked requests still own themselves.
+  EXPECT_EQ(arena->allocated(), 10u);
+  EXPECT_EQ(arena->free_count(), 0u);
+  EXPECT_GT(token.use_count(), 1);
+  arena.reset();
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace
