@@ -189,6 +189,24 @@ TEST(GoldenTest, Fig5Conns200At7800) {
             "1a52aefd370c54f7");
 }
 
+TEST(GoldenTest, Fig5CountAxis) {
+  // The Fig 5 anchor with the profiler's count ledger installed: the trial's
+  // digest must equal the unprofiled one (zero perturbation), and the count
+  // matrix itself is locked phase-major.
+  ExperimentOptions opts = compressed();
+  opts.profile = true;
+  const Experiment e(topology("1/4/1/4"), opts);
+  const RunResult r = e.run(SoftConfig{400, 200, 200}, 7800);
+  EXPECT_EQ(golden_digest(r), "1a52aefd370c54f7");
+  Digest counts;
+  for (std::size_t p = 0; p < prof::kPhases; ++p) {
+    for (std::size_t s = 0; s < prof::kSubsystems; ++s) {
+      counts.add(static_cast<std::uint64_t>(r.profile.counts[p][s]));
+    }
+  }
+  EXPECT_EQ(counts.hex(), "59da23054d6d1a3a");
+}
+
 TEST(GoldenTest, Fig78Pool30At7400) {
   const Experiment e(topology("1/4/1/4"), traced());
   EXPECT_EQ(golden_digest(e.run(SoftConfig{30, 6, 20}, 7400)),
