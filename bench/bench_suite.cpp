@@ -4,12 +4,10 @@
 // BENCH_softres.json snapshot at the repo root. The CI bench job runs
 //
 //   bench_suite --benchmark_format=json --benchmark_out=BENCH_softres.json
-//               --profile --profile-out=profile.folded
+//               --profile
 //
 // and tools/bench_diff compares the result against the baseline, failing
-// the build on a >20% geomean regression (see DESIGN.md §9) and printing a
-// per-subsystem attribution table from the embedded "profile" block
-// (DESIGN.md §11).
+// the build on a >20% geomean regression (see DESIGN.md §9).
 //
 // The suite is a ladder from the bottom of the stack up: the simulator's
 // pending set (BM_EventQueueDepth, BM_EventQueueTrialMix), the CPU and pool
@@ -36,20 +34,17 @@
 // silently drops it from the regression comparison (bench_diff warns on
 // unmatched names).
 //
-// The --profile pass runs *after* the gated benchmarks so the timed numbers
-// are never perturbed by instrumentation: a dedicated serial sweep with the
-// profiler on, whose merged snapshot is printed as a table, written as a
-// collapsed-stack file (flamegraph.pl / speedscope), and spliced into the
-// --benchmark_out JSON as a top-level "profile" block.
+// The --profile pass (or SOFTRES_PROFILE=1) runs *after* the gated
+// benchmarks, so no timed rung runs with a ledger installed: one sweep with
+// the profiler on, whose merged per-phase, per-subsystem counts are printed
+// as a table (DESIGN.md §11).
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -352,82 +347,29 @@ BENCHMARK(BM_TraceAttribution)
     ->Arg(100)
     ->Unit(benchmark::kMillisecond);
 
-/// Splice `"profile": {...}` into the root object of the --benchmark_out
-/// JSON by inserting before its final closing brace. Done as a string edit
-/// because the repo deliberately carries no C++ JSON library.
-bool inject_profile_json(const std::string& path,
-                         const obs::ProfileSnapshot& snap) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  std::string text = buffer.str();
-  in.close();
-  const std::size_t brace = text.find_last_of('}');
-  if (brace == std::string::npos) return false;
-  text.insert(brace, ",\n  \"profile\": " + obs::profile_json(snap, 2) + "\n");
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << text;
-  return out.good();
-}
-
-/// The dedicated profiled pass: the same sweep BM_SweepThroughput times,
-/// run serially with the profiler on. Serial keeps the collapsed-stack
-/// output ordering trivially stable; the count axis would be identical
-/// under any jobs value (tests/determinism_test.cc holds that line).
-int run_profile_pass(const std::string& folded_path,
-                     const std::string& bench_out) {
+/// The profiled pass: the same sweep BM_SweepThroughput times, with the
+/// profiler on. Its counts are identical under any jobs value
+/// (tests/determinism_test.cc holds that line).
+void run_profile_pass() {
   exp::ExperimentOptions opts = suite_options();
   opts.profile = true;
   const exp::Experiment e(suite_config(), opts);
-  const auto workloads = exp::workload_range(100, 800, 100);
-  const auto results =
-      exp::sweep_workload(e, exp::SoftConfig{50, 10, 10}, workloads, 1);
-
+  const auto results = exp::sweep_workload(e, exp::SoftConfig{50, 10, 10},
+                                           exp::workload_range(100, 800, 100));
   obs::ProfileSnapshot total;
   for (const auto& r : results) total.merge(r.profile);
   std::cout << "\n" << obs::render_profile_table(total);
-
-  std::ofstream folded(folded_path);
-  if (!folded) {
-    std::cerr << "bench_suite: cannot write " << folded_path << "\n";
-    return 1;
-  }
-  obs::write_collapsed_stacks(folded, total);
-  std::cout << "[profile] wrote collapsed stacks to " << folded_path << "\n";
-
-  if (!bench_out.empty()) {
-    if (inject_profile_json(bench_out, total)) {
-      std::cout << "[profile] embedded profile block in " << bench_out << "\n";
-    } else {
-      std::cerr << "bench_suite: could not embed profile block in "
-                << bench_out << "\n";
-      return 1;
-    }
-  }
-  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bool profile = exp::env_flag("SOFTRES_PROFILE");
-  std::string profile_out = "profile.folded";
-  std::string bench_out;
   std::vector<char*> bench_args;
   for (int i = 0; i < argc; ++i) {
     if (std::strcmp(argv[i], "--profile") == 0) {
       profile = true;
       continue;
-    }
-    if (std::strncmp(argv[i], "--profile-out=", 14) == 0) {
-      profile = true;
-      profile_out = argv[i] + 14;
-      continue;
-    }
-    if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0) {
-      bench_out = argv[i] + 16;
     }
     bench_args.push_back(argv[i]);
   }
@@ -438,6 +380,6 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (profile) return run_profile_pass(profile_out, bench_out);
+  if (profile) run_profile_pass();
   return 0;
 }

@@ -8,8 +8,8 @@
 //                             print the per-tier latency breakdown
 //   SOFTRES_TRACE_JSON=f.json additionally write the traced requests as
 //                             Chrome trace_event JSON (Perfetto-loadable)
-//   SOFTRES_PROFILE=1         self-profile the trial (DESIGN.md §11) and
-//                             print the top subsystems by exclusive cycles
+//   SOFTRES_PROFILE=1         count the trial's hot-path operations
+//                             (DESIGN.md §11) and print the top subsystems
 
 #include <cstdlib>
 #include <fstream>

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -42,6 +43,12 @@ std::vector<long> parse_numbers(const std::string& text, char sep,
 
 HardwareConfig HardwareConfig::parse(const std::string& text) {
   const auto v = parse_numbers(text, '/', 4, "hardware config");
+  for (const long n : v) {
+    if (n > std::numeric_limits<int>::max()) {
+      throw std::invalid_argument(
+          "hardware config node count overflows int: '" + text + "'");
+    }
+  }
   HardwareConfig hw;
   hw.web = static_cast<int>(v[0]);
   hw.app = static_cast<int>(v[1]);

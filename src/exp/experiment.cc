@@ -176,10 +176,10 @@ RunResult Experiment::run(const SoftConfig& soft, std::size_t users) const {
   // phase at its own (simulated-time) transitions. The ledger is installed
   // on *this* thread only, which is the thread that runs the whole trial —
   // parallel sweep workers each profile their own trials independently, so
-  // the count axis stays bit-identical to a serial sweep.
-  obs::Profiler profiler;
+  // the counts stay bit-identical to a serial sweep.
+  std::optional<prof::Ledger> ledger;
   std::optional<prof::InstallGuard> profile_guard;
-  if (opts_.profile) profile_guard.emplace(&profiler.ledger());
+  if (opts_.profile) profile_guard.emplace(&ledger.emplace());
   // Always reset the thread's phase marker: the bench allocation ledger
   // attributes by it whether or not a profiler ledger is installed.
   SOFTRES_PROF_PHASE(kSetup);
@@ -254,7 +254,7 @@ RunResult Experiment::run(const SoftConfig& soft, std::size_t users) const {
   tail_cfg.slo_threshold_s = opts_.sla_threshold_s;
   r.tail = obs::TailAttributor(tail_cfg).attribute(ctx.traces().traces());
   obs::corroborate(r.diagnosis, r.tail);
-  if (opts_.profile) r.profile = profiler.snapshot();
+  if (ledger) r.profile = obs::ProfileSnapshot::of(*ledger);
   if (bed.governor() != nullptr) r.governor_actions = bed.governor()->actions();
   r.series = bed.timeline().take();
 

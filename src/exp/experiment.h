@@ -38,7 +38,7 @@ struct ExperimentOptions {
   soft::SharePolicy partition;
 
   /// Opt-in self-profiling (DESIGN.md §11): each trial installs a
-  /// prof::Ledger and RunResult::profile carries the snapshot. from_env()
+  /// prof::Ledger and RunResult::profile carries its counts. from_env()
   /// reads it from SOFTRES_PROFILE=1.
   bool profile = false;
 
@@ -137,8 +137,8 @@ struct RunResult {
   /// trace_sample_rate > 0). A pure function of the trial's traces, so part
   /// of the bit-identical-across-jobs determinism contract.
   obs::TailAttribution tail;
-  /// Self-profiler snapshot (enabled=false unless ExperimentOptions::profile
-  /// was set). The count axis is deterministic; the cycle axis is not.
+  /// Self-profiler counts (enabled=false unless ExperimentOptions::profile
+  /// was set). Deterministic: bit-identical across jobs=1 / jobs=N sweeps.
   obs::ProfileSnapshot profile;
   /// Resizes applied by the closed-loop governor, in event order (empty for
   /// ungoverned trials). Part of the determinism contract: bit-identical

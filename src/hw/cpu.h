@@ -167,7 +167,7 @@ inline void Cpu::reschedule_completion() {
 }
 
 inline void Cpu::submit(double demand, Callback done) {
-  SOFTRES_PROF_SCOPE(kCpuService);
+  SOFTRES_PROF_COUNT(kCpuService);
   assert(done);
   if (demand <= 0.0) {
     sim_.schedule(0.0, std::move(done));

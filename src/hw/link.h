@@ -51,7 +51,7 @@ class Link {
 // keeping it in the header lets callers fold the whole hop into one
 // inlined schedule.
 inline void Link::send(double bytes, Callback delivered) {
-  SOFTRES_PROF_SCOPE(kLinkService);
+  SOFTRES_PROF_COUNT(kLinkService);
   assert(delivered);
   const sim::SimTime now = sim_.now();
   const double tx_time = std::max(0.0, bytes) / bytes_per_second_;

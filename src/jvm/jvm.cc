@@ -17,7 +17,7 @@ double Jvm::pause_duration(bool full) const {
 }
 
 void Jvm::collect() {
-  SOFTRES_PROF_SCOPE(kJvmService);
+  SOFTRES_PROF_COUNT(kJvmService);
   allocated_since_gc_mb_ = 0.0;
   ++collections_;
   const bool full =

@@ -49,8 +49,6 @@ class Jvm {
   /// no-collection path is an add and a compare, inlined into each tier's
   /// request entry; the collection itself stays out of line.
   void allocate(double mb) {
-    // Count-only on the fast path (an add and a compare needs no timer);
-    // the collection itself is timed out of line in jvm.cc.
     SOFTRES_PROF_COUNT(kJvmService);
     allocated_since_gc_mb_ += mb;
     if (allocated_since_gc_mb_ >= config_.young_gen_mb && !cpu_.frozen()) {

@@ -19,7 +19,7 @@ Timeline::Timeline(const Registry& registry, std::size_t ticks)
 }
 
 void Timeline::record(sim::SimTime now) {
-  SOFTRES_PROF_SCOPE(kTimeline);
+  SOFTRES_PROF_COUNT(kTimeline);
   assert(readers_.size() == series_.size());
   times_.push_back(now);
   for (std::size_t i = 0; i < series_.size(); ++i) {

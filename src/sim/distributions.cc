@@ -78,7 +78,7 @@ double ziggurat_exp(Rng& rng) {
 }  // namespace
 
 double fast_exponential(Rng& rng, double mean) {
-  SOFTRES_PROF_SCOPE(kDistSample);
+  SOFTRES_PROF_COUNT(kDistSample);
   if (mean <= 0.0) return 0.0;
   return mean * ziggurat_exp(rng);
 }

@@ -59,8 +59,8 @@ namespace softres::sim {
 /// key's high bits and is unique per push, key order *is* schedule order,
 /// which is what gives the simulator its FIFO same-instant guarantee.
 ///
-/// The queue carries no profiler scopes: the simulator's scheduling cost is
-/// charged at PendingSet's operations, and the run queue's to the CPU model.
+/// The queue carries no profiler sites: the simulator's scheduling work is
+/// counted at PendingSet's operations, and the run queue's by the CPU model.
 class EventQueue {
  public:
   /// Low bits of Entry::key that address the owner's record slab; the

@@ -47,7 +47,7 @@ class BoxPool {
     return ::operator new(n);
   }
 
-  static void release(void* p, std::size_t n) noexcept {
+  static void release(void* p, [[maybe_unused]] std::size_t n) noexcept {
 #if !defined(SOFTRES_BOX_POOL_PASSTHROUGH)
     const std::size_t c = class_of(n);
     if (c < kClasses) {
@@ -132,6 +132,11 @@ class InlineFunction<R(Args...)> {
                 std::is_invocable_r_v<R, D&, Args...>>>
   InlineFunction(F&& f) {  // NOLINT(runtime/explicit)
     if constexpr (fits_inline<D>()) {
+      // A captureless callable writes no bytes; give the flat move (steal's
+      // memcpy) defined ones to copy.
+      if constexpr (std::is_empty_v<D>) {
+        std::memset(storage_, 0, kInlineFunctionCapacity);
+      }
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
       invoke_ = &invoke_inline<D>;
       destroy_ = nullptr;  // trivially destructible by construction

@@ -45,8 +45,8 @@ namespace softres::sim {
 /// and `far_`'s top — provided that whenever `near_` is empty, either the
 /// slots are empty too or `far_`'s top lies before the first non-empty
 /// slot's bucket. Every mutation restores that invariant, which keeps top()
-/// const and lets each operation charge its own work to its profiler
-/// scope. The set is correct for any push order; pushes that never
+/// const and lets each operation count itself once in the profiler's
+/// ledger. The set is correct for any push order; pushes that never
 /// precede the last pop, as the simulator's do, keep the cursor at or just
 /// ahead of the clock, so the near heap stays a handful of entries deep.
 class PendingSet {
@@ -71,14 +71,14 @@ class PendingSet {
   const Entry& top() const { return far_first() ? far_.top() : near_.top(); }
 
   void push(const Entry& e) {
-    SOFTRES_PROF_SCOPE(kEventQueuePush);
+    SOFTRES_PROF_COUNT(kEventQueuePush);
     const std::uint32_t idx = static_cast<std::uint32_t>(e.key & kIndexMask);
     if (idx >= where_.size()) where_.resize(idx + 1, 0);
     place(e);
   }
 
   Entry pop() {
-    SOFTRES_PROF_SCOPE(kEventQueuePop);
+    SOFTRES_PROF_COUNT(kEventQueuePop);
     const Entry e = far_first() ? far_.pop() : near_.pop();
     if (near_.empty()) refill(e.time * kBucketsPerSecond);
     return e;
@@ -87,7 +87,7 @@ class PendingSet {
   /// Re-key the entry whose index is `idx` to `e` (same index, new time and
   /// seq). Precondition: exactly one entry with that index is pending.
   void update(std::uint32_t idx, const Entry& e) {
-    SOFTRES_PROF_SCOPE(kEventQueueCancel);
+    SOFTRES_PROF_COUNT(kEventQueueCancel);
     assert((e.key & kIndexMask) == idx && idx < where_.size());
     const Where at = locate(idx);
     const double bucket = e.time * kBucketsPerSecond;
@@ -107,7 +107,7 @@ class PendingSet {
 
   /// Remove the entry whose index is `idx`. Same precondition as update().
   void erase(std::uint32_t idx) {
-    SOFTRES_PROF_SCOPE(kEventQueueCancel);
+    SOFTRES_PROF_COUNT(kEventQueueCancel);
     assert(idx < where_.size());
     const Where at = locate(idx);
     remove(at, idx);

@@ -168,7 +168,7 @@ inline EventHandle Simulator::schedule_at(SimTime t, Callback fn) {
 }
 
 inline void Simulator::dispatch(const PendingSet::Entry& e) {
-  SOFTRES_PROF_SCOPE(kDispatch);
+  SOFTRES_PROF_COUNT(kDispatch);
   Record* r = slots_[e.key & kIdxMask];
   // Eager cancel/reschedule means every popped entry is the live claim.
   assert(r->live_seq == (e.key >> kIdxBits));

@@ -179,10 +179,7 @@ inline void Pool::grant(Callback granted, sim::SimTime waited_since) {
 }
 
 inline void Pool::acquire(Callback granted, std::uint32_t tenant) {
-  // The synchronous grant path runs the continuation under this scope;
-  // scoped subsystems it reaches (cpu, dist, queue pushes) nest and subtract,
-  // so pool_service keeps only the grant-cascade glue. See DESIGN.md §11.
-  SOFTRES_PROF_SCOPE(kPoolService);
+  SOFTRES_PROF_COUNT(kPoolService);
   assert(granted);
   if (arbiter_ != nullptr) {
     acquire_shared(std::move(granted), tenant);
@@ -196,7 +193,7 @@ inline void Pool::acquire(Callback granted, std::uint32_t tenant) {
 }
 
 inline void Pool::release(std::uint32_t tenant) {
-  SOFTRES_PROF_SCOPE(kPoolService);
+  SOFTRES_PROF_COUNT(kPoolService);
   assert(in_use_ > 0);
   if (arbiter_ != nullptr) {
     release_shared(tenant);

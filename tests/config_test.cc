@@ -35,6 +35,11 @@ TEST(HardwareConfigTest, RejectsMalformed) {
   EXPECT_THROW(HardwareConfig::parse("1//1/2"), std::invalid_argument);
   EXPECT_THROW(HardwareConfig::parse("1/-2/1/2"), std::invalid_argument);
   EXPECT_THROW(HardwareConfig::parse("0/2/1/2"), std::invalid_argument);
+  // Fields above INT_MAX must not wrap into a small valid count.
+  EXPECT_THROW(HardwareConfig::parse("1/4294967300/1/1"),
+               std::invalid_argument);
+  EXPECT_THROW(HardwareConfig::parse("4294967297/1/1/1"),
+               std::invalid_argument);
 }
 
 TEST(SoftConfigTest, ParsesPaperNotation) {

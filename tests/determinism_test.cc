@@ -166,10 +166,9 @@ TEST(DeterminismTest, SingleRunMatchesSweepMember) {
   expect_bit_identical(alone, sweep[1]);
 }
 
-// The profiler's count axis is part of the determinism contract: the same
-// trial enters the same scopes the same number of times in the same phases
-// no matter which worker thread runs it. (The timing axis — cycles, paths'
-// cycle weights — is machine-local and deliberately NOT compared.)
+// The profiler's counts are part of the determinism contract: the same
+// trial reaches the same count sites the same number of times in the same
+// phases no matter which worker thread runs it.
 TEST(DeterminismTest, ProfileCountAxisIsBitIdenticalAcrossJobs) {
   ExperimentOptions opts = cheap_options();
   opts.profile = true;
@@ -193,16 +192,6 @@ TEST(DeterminismTest, ProfileCountAxisIsBitIdenticalAcrossJobs) {
             << prof::phase_name(static_cast<prof::Phase>(p)) << "/"
             << prof::subsystem_name(static_cast<prof::Subsystem>(s));
       }
-    }
-    for (std::size_t s = 0; s < prof::kSubsystems; ++s) {
-      EXPECT_EQ(a.scope_entries[s], b.scope_entries[s]);
-    }
-    // Same call paths entered the same number of times; the snapshot sorts
-    // paths by frame sequence, so the vectors line up index by index.
-    ASSERT_EQ(a.paths.size(), b.paths.size());
-    for (std::size_t j = 0; j < a.paths.size(); ++j) {
-      EXPECT_EQ(a.paths[j].frames, b.paths[j].frames);
-      EXPECT_EQ(a.paths[j].count, b.paths[j].count);
     }
   }
 }

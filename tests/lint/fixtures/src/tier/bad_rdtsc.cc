@@ -1,7 +1,7 @@
-// Fixture: SR009 — cycle-counter intrinsics in sim-reachable code. The
-// profiler TU (src/support/prof.h) and src/obs are the only homes for
-// machine timing; a tier model must never read the TSC directly, because an
-// un-calibrated stamp bypasses obs::Profiler's attribution entirely.
+// Fixture: SR009 — cycle-counter intrinsics in sim-reachable code. Machine
+// timing belongs to the bench_suite ladder, perfbench or src/obs; a tier
+// model must never read the TSC directly, because an un-calibrated stamp is
+// a measurement that no gate or report can see.
 // Expected findings: SR009 at the three marked lines. The comment mention,
 // the near-miss identifier, and the allowed line produce nothing.
 namespace softres_fixture {

@@ -221,7 +221,7 @@ TEST(LintScanTest, CycleCountersOutsideProfilerTu) {
             (std::vector<std::string>{"SR009"}));
   EXPECT_EQ(rules_of(lint::scan_file("bench/x.cpp", code)),
             (std::vector<std::string>{"SR009"}));
-  // The sanctioned homes: the profiler TU (src/support) and src/obs.
+  // Exempt by domain: src/support and src/obs.
   EXPECT_TRUE(lint::scan_file("src/support/prof.h", code).empty());
   EXPECT_TRUE(lint::scan_file("src/obs/profiler.cc", code).empty());
   // std::chrono stopwatches in drivers are SR009; inside src/ the same line

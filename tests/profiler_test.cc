@@ -1,21 +1,14 @@
-// Tests for the self-profiler (DESIGN.md §11): the prof::Ledger core, the
-// obs::Profiler facade and its three export formats. The two load-bearing
-// guarantees:
+// Tests for the self-profiler (DESIGN.md §11): the prof::Ledger count core
+// and the obs::ProfileSnapshot renderers. The two load-bearing guarantees:
 //  * zero perturbation — a profiled trial replays the identical event
 //    sequence and produces bit-identical results (the ctest analogue of the
 //    bench gate; tracing holds the same line in trace_test.cc);
-//  * a sound count axis — deterministic per-subsystem counters that tie out
-//    against the simulator's own event accounting.
-// The timing axis (cycles) is machine-local by design; tests only check
-// structural invariants (exclusive cycles, path table, formats), never
-// absolute values, and degrade to the count axis on cycle-free platforms.
+//  * a sound count ledger — deterministic per-phase, per-subsystem counters
+//    that tie out against the simulator's own event accounting.
 
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "exp/config.h"
 #include "exp/experiment.h"
@@ -43,20 +36,11 @@ exp::ExperimentOptions cheap_options() {
   return opts;
 }
 
-std::uint64_t count_of(const obs::ProfileSnapshot& snap,
-                       prof::Subsystem sub) {
-  std::uint64_t total = 0;
-  for (std::size_t p = 0; p < prof::kPhases; ++p) {
-    total += snap.counts[p][static_cast<std::size_t>(sub)];
-  }
-  return total;
-}
-
 /// One profiled standalone trial (the Testbed-level path tests use).
 obs::ProfileSnapshot profiled_trial(std::uint64_t* events_executed = nullptr) {
-  obs::Profiler profiler;
+  prof::Ledger ledger;
   {
-    const prof::InstallGuard guard = profiler.install();
+    const prof::InstallGuard guard(&ledger);
     SOFTRES_PROF_PHASE(kSetup);
     exp::TestbedConfig cfg = cheap_config();
     workload::ClientConfig client;
@@ -70,7 +54,7 @@ obs::ProfileSnapshot profiled_trial(std::uint64_t* events_executed = nullptr) {
       *events_executed = bed.simulator().events_executed();
     }
   }
-  return profiler.snapshot();
+  return obs::ProfileSnapshot::of(ledger);
 }
 
 TEST(ProfilerTest, OffByDefaultAndZeroPerturbation) {
@@ -109,20 +93,18 @@ TEST(ProfilerTest, DispatchCountTiesOutAgainstSimulator) {
   ASSERT_TRUE(snap.enabled);
   ASSERT_GT(events, 0u);
 
-  // Every dispatched event enters exactly one kDispatch scope.
-  EXPECT_EQ(count_of(snap, prof::Subsystem::kDispatch), events);
+  // Every dispatched event counts exactly once at kDispatch.
+  EXPECT_EQ(snap.total_counts(prof::Subsystem::kDispatch), events);
   // Every dispatch popped its event from the queue first, and pushes must
   // cover everything that was ever popped.
-  EXPECT_GE(count_of(snap, prof::Subsystem::kEventQueuePop), events);
-  EXPECT_GE(count_of(snap, prof::Subsystem::kEventQueuePush),
-            count_of(snap, prof::Subsystem::kEventQueuePop));
+  EXPECT_GE(snap.total_counts(prof::Subsystem::kEventQueuePop), events);
+  EXPECT_GE(snap.total_counts(prof::Subsystem::kEventQueuePush),
+            snap.total_counts(prof::Subsystem::kEventQueuePop));
 
   // A loaded trial exercises every attributed subsystem.
   for (std::size_t s = 0; s < prof::kSubsystems; ++s) {
-    std::uint64_t total = 0;
-    for (std::size_t p = 0; p < prof::kPhases; ++p) total += snap.counts[p][s];
-    EXPECT_GT(total, 0u) << prof::subsystem_name(
-        static_cast<prof::Subsystem>(s));
+    const auto sub = static_cast<prof::Subsystem>(s);
+    EXPECT_GT(snap.total_counts(sub), 0u) << prof::subsystem_name(sub);
   }
   // The phase marker advanced through the whole schedule: steady-state work
   // landed in the measurement window, setup work before the ramp.
@@ -130,16 +112,15 @@ TEST(ProfilerTest, DispatchCountTiesOutAgainstSimulator) {
   EXPECT_GT(snap.total_counts(prof::Phase::kRampUp), 0u);
 }
 
-TEST(ProfilerTest, SnapshotMergeAccumulatesCountsAndPaths) {
+TEST(ProfilerTest, SnapshotMergeAccumulatesCounts) {
   const obs::ProfileSnapshot one = profiled_trial();
   obs::ProfileSnapshot two = one;
   two.merge(one);
   EXPECT_EQ(two.total_counts(), 2 * one.total_counts());
-  EXPECT_EQ(two.total_cycles(), 2 * one.total_cycles());
-  ASSERT_EQ(two.paths.size(), one.paths.size());
-  for (std::size_t i = 0; i < one.paths.size(); ++i) {
-    EXPECT_EQ(two.paths[i].frames, one.paths[i].frames);
-    EXPECT_EQ(two.paths[i].count, 2 * one.paths[i].count);
+  for (std::size_t p = 0; p < prof::kPhases; ++p) {
+    for (std::size_t s = 0; s < prof::kSubsystems; ++s) {
+      EXPECT_EQ(two.counts[p][s], 2 * one.counts[p][s]);
+    }
   }
   // Merging a disabled snapshot is a no-op.
   obs::ProfileSnapshot three = one;
@@ -147,116 +128,69 @@ TEST(ProfilerTest, SnapshotMergeAccumulatesCountsAndPaths) {
   EXPECT_EQ(three.total_counts(), one.total_counts());
 }
 
-TEST(ProfilerTest, CollapsedStackFormatIsWellFormed) {
-  const obs::ProfileSnapshot snap = profiled_trial();
-  std::ostringstream os;
-  obs::write_collapsed_stacks(os, snap);
-  const std::string text = os.str();
-  if (snap.total_cycles() == 0) {
-    // No cycle counter on this platform: nothing to fold, and that must be
-    // an empty file rather than zero-weight junk lines.
-    EXPECT_TRUE(text.empty());
-    return;
-  }
-  ASSERT_FALSE(text.empty());
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    // `frame;frame;frame <cycles>` — frames are known subsystem names.
-    const std::size_t space = line.find_last_of(' ');
-    ASSERT_NE(space, std::string::npos) << line;
-    const std::string weight = line.substr(space + 1);
-    ASSERT_FALSE(weight.empty()) << line;
-    for (char c : weight) EXPECT_TRUE(std::isdigit(c)) << line;
-    EXPECT_NE(weight, "0") << line;
-    std::istringstream frames(line.substr(0, space));
-    std::string frame;
-    int depth = 0;
-    while (std::getline(frames, frame, ';')) {
-      ++depth;
-      bool known = false;
-      for (std::size_t s = 0; s < prof::kSubsystems; ++s) {
-        if (frame == prof::subsystem_name(static_cast<prof::Subsystem>(s))) {
-          known = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(known) << "unknown frame '" << frame << "' in: " << line;
-    }
-    EXPECT_GE(depth, 1) << line;
-    EXPECT_LE(depth, static_cast<int>(prof::Ledger::kPathDepth)) << line;
-  }
-}
-
 TEST(ProfilerTest, RenderersEmitNothingWhenDisabled) {
   const obs::ProfileSnapshot off;
   EXPECT_TRUE(obs::render_profile_table(off).empty());
   EXPECT_TRUE(obs::one_line_profile_summary(off).empty());
-  std::ostringstream os;
-  obs::write_collapsed_stacks(os, off);
-  EXPECT_TRUE(os.str().empty());
 }
 
-TEST(ProfilerTest, TableSummaryAndJsonCarryTheAttribution) {
+TEST(ProfilerTest, TableAndSummaryCarryTheCounts) {
   const obs::ProfileSnapshot snap = profiled_trial();
 
   const std::string table = obs::render_profile_table(snap);
   EXPECT_NE(table.find("subsystem"), std::string::npos);
   EXPECT_NE(table.find("dispatch"), std::string::npos);
   EXPECT_NE(table.find("event_queue_push"), std::string::npos);
+  for (std::size_t p = 0; p < prof::kPhases; ++p) {
+    EXPECT_NE(table.find(prof::phase_name(static_cast<prof::Phase>(p))),
+              std::string::npos);
+  }
+  EXPECT_NE(table.find(std::to_string(snap.total_counts())),
+            std::string::npos);
+  EXPECT_NE(table.find("100.0%"), std::string::npos);
 
   const std::string line = obs::one_line_profile_summary(snap);
-  EXPECT_NE(line.find("profile:"), std::string::npos);
-  EXPECT_NE(line.find("overhead"), std::string::npos);
-
-  const std::string json = obs::profile_json(snap);
-  EXPECT_NE(json.find("\"enabled\": true"), std::string::npos);
-  EXPECT_NE(json.find("\"subsystems\""), std::string::npos);
-  EXPECT_NE(json.find("\"dispatch\""), std::string::npos);
-  EXPECT_NE(json.find("\"phases\""), std::string::npos);
-  EXPECT_NE(json.find("\"measure\""), std::string::npos);
-  const double overhead = snap.overhead_fraction();
-  EXPECT_GE(overhead, 0.0);
-  EXPECT_LE(overhead, 1.0);
+  EXPECT_EQ(line.rfind("profile: " + std::to_string(snap.total_counts()), 0),
+            0u)
+      << line;
+  EXPECT_NE(line.find("dispatch"), std::string::npos) << line;
+  EXPECT_EQ(line.find("cycles"), std::string::npos) << line;
+  EXPECT_EQ(line.find("overhead"), std::string::npos) << line;
 }
 
-TEST(ProfilerTest, ScopeTimerCreditsExclusiveCyclesToParentAndChild) {
-  // Hand-built nesting on a scratch ledger: parent's exclusive cycles must
-  // exclude the child's, and the path table must key parent and child
-  // separately (child's path carries the parent frame as its prefix).
+TEST(ProfilerTest, CountsLandInTheInstalledLedgerAndPhase) {
+  const auto at = [](const prof::Ledger& l, prof::Phase p, prof::Subsystem s) {
+    return l.counts[static_cast<std::size_t>(p)][static_cast<std::size_t>(s)];
+  };
   prof::Ledger ledger;
   {
     const prof::InstallGuard guard(&ledger);
-    const prof::ScopeTimer parent(prof::Subsystem::kDispatch);
-    for (int i = 0; i < 64; ++i) {
-      const prof::ScopeTimer child(prof::Subsystem::kDistSample);
-    }
+    SOFTRES_PROF_PHASE(kSetup);
+    SOFTRES_PROF_COUNT(kDispatch);
+    for (int i = 0; i < 3; ++i) SOFTRES_PROF_COUNT(kDistSample);
+    prof::count(prof::Subsystem::kCount);  // untagged: counts nothing
+    SOFTRES_PROF_PHASE(kMeasure);
+    SOFTRES_PROF_COUNT(kDispatch);
+    SOFTRES_PROF_COUNT(kDispatch);
   }
-  EXPECT_EQ(ledger.counts[0][static_cast<std::size_t>(
-                prof::Subsystem::kDispatch)],
-            1u);
-  EXPECT_EQ(ledger.counts[0][static_cast<std::size_t>(
-                prof::Subsystem::kDistSample)],
-            64u);
-  EXPECT_EQ(ledger.depth, 0u);
+  EXPECT_EQ(at(ledger, prof::Phase::kSetup, prof::Subsystem::kDispatch), 1u);
+  EXPECT_EQ(at(ledger, prof::Phase::kSetup, prof::Subsystem::kDistSample),
+            3u);
+  EXPECT_EQ(at(ledger, prof::Phase::kMeasure, prof::Subsystem::kDispatch),
+            2u);
+  EXPECT_EQ(at(ledger, prof::Phase::kMeasure, prof::Subsystem::kDistSample),
+            0u);
+  EXPECT_EQ(obs::ProfileSnapshot::of(ledger).total_counts(), 6u);
 
-  const std::uint64_t dispatch_key =
-      static_cast<std::uint64_t>(
-          static_cast<std::uint8_t>(prof::Subsystem::kDispatch)) +
-      1;
-  const std::uint64_t nested_key =
-      dispatch_key |
-      ((static_cast<std::uint64_t>(
-            static_cast<std::uint8_t>(prof::Subsystem::kDistSample)) +
-        1)
-       << 8);
-  std::uint64_t parent_count = 0, child_count = 0;
-  for (const auto& cell : ledger.paths) {
-    if (cell.key == dispatch_key) parent_count = cell.count;
-    if (cell.key == nested_key) child_count = cell.count;
-  }
-  EXPECT_EQ(parent_count, 1u);
-  EXPECT_EQ(child_count, 64u);
+  // Uninstalled: nothing is counted, yet the thread's phase marker still
+  // advances — the bench allocation ledger attributes by it.
+  EXPECT_EQ(prof::t_ledger, nullptr);
+  SOFTRES_PROF_PHASE(kRampDown);
+  EXPECT_EQ(prof::t_phase, prof::Phase::kRampDown);
+  SOFTRES_PROF_COUNT(kDispatch);
+  EXPECT_EQ(obs::ProfileSnapshot::of(ledger).total_counts(), 6u);
+  EXPECT_EQ(ledger.phase, prof::Phase::kMeasure);
+  SOFTRES_PROF_PHASE(kSetup);
 }
 
 }  // namespace

@@ -40,9 +40,9 @@ const std::vector<RuleInfo>& rule_table() {
        "data (Diagnosis, EvidenceWindow); every human-facing rendering goes "
        "through obs/report.h"},
       {"SR009", "cycle-counter",
-       "cycle-counter intrinsics (rdtsc and friends) or std::chrono timing "
-       "outside the profiler TU (src/support/prof.h) and src/obs; measure "
-       "through obs::Profiler so the timing axis stays in one place"},
+       "cycle-counter intrinsics (rdtsc and friends) in sim code and "
+       "drivers, or std::chrono stopwatches in drivers; machine timing "
+       "belongs to the bench_suite ladder, perfbench or src/obs"},
       {"SR010", "direct-pool-resize",
        "Pool::set_capacity called outside src/soft and the Governor "
        "(src/core/governor*); live resizes flow through a registered "
@@ -174,15 +174,14 @@ constexpr TokenRule kStreamWrites[] = {
     {"SR008", "puts", "puts"},
 };
 
-// SR009 — cycle counters and chrono timing outside the profiler TU. The
-// self-profiler (src/support/prof.h, rendered by src/obs/profiler.cc) is
-// the one sanctioned home for machine timing; a stray rdtsc in a tier model
-// or a bench is an un-calibrated, un-attributed measurement that the
-// regression pipeline can't see. src/support and src/obs are exempt by
-// domain, exactly like the SR002 clock carve-out. The cycle-counter tokens
-// fire in kSim and kDriver; the chrono token fires in kDriver only, because
-// SR002 already owns wall-clock timing inside src/ and double-reporting the
-// same line under two rules would just be noise.
+// SR009 — cycle counters and chrono timing in sim code and drivers. Machine
+// timing belongs to the bench_suite ladder (google-benchmark), perfbench's
+// per-layer metrics or src/obs; a stray rdtsc in a tier model or a bench is
+// an un-calibrated measurement that no gate or report can see. src/support
+// and src/obs are exempt by domain, exactly like the SR002 clock carve-out.
+// The cycle-counter tokens fire in kSim and kDriver; the chrono token fires
+// in kDriver only, because SR002 already owns wall-clock timing inside src/
+// and double-reporting the same line under two rules would just be noise.
 constexpr TokenRule kCycleCounter[] = {
     {"SR009", "rdtsc", "rdtsc"},
     {"SR009", "__rdtsc", "__rdtsc"},
@@ -497,16 +496,16 @@ std::vector<Finding> scan_lexed_file(const std::string& rel_path,
       }
     }
 
-    // SR009 — cycle counters / chrono timing in sim code and drivers; the
-    // profiler TU (src/support, exempt by domain) and src/obs own timing.
+    // SR009 — cycle counters / chrono timing in sim code and drivers;
+    // src/support and src/obs are exempt by domain.
     if (domain == Domain::kSim || domain == Domain::kDriver) {
       bool hit = false;
       for (const auto& r : kCycleCounter) {
         if (contains_token(code, r.token)) {
           add(n, r.rule,
               std::string(r.what) +
-                  " outside the profiler TU: machine timing belongs to "
-                  "src/support/prof.h + obs::Profiler (or src/obs exports)");
+                  " in sim code or a driver: machine timing belongs to the "
+                  "bench_suite ladder, perfbench or src/obs");
           hit = true;
           break;
         }
@@ -516,8 +515,8 @@ std::vector<Finding> scan_lexed_file(const std::string& rel_path,
           if (contains_token(code, r.token)) {
             add(n, r.rule,
                 std::string(r.what) +
-                    " in a driver: time the sim through google-benchmark or "
-                    "obs::Profiler, not ad-hoc std::chrono stopwatches");
+                    " in a driver: time the sim through a bench_suite rung "
+                    "or perfbench, not ad-hoc std::chrono stopwatches");
             break;
           }
         }

@@ -39,9 +39,10 @@
 //                            diagnoser/timeline files; detectors produce
 //                            structured Diagnosis data and obs/report.h
 //                            renders it
-//   SR009 cycle-counter      rdtsc-family intrinsics or std::chrono timing
-//                            outside the profiler TU (src/support/prof.h)
-//                            and src/obs; obs::Profiler owns machine timing
+//   SR009 cycle-counter      rdtsc-family intrinsics in sim code and
+//                            drivers, std::chrono stopwatches in drivers;
+//                            machine timing belongs to the bench_suite
+//                            ladder, perfbench or src/obs
 //   SR010 direct-pool-resize Pool::set_capacity outside src/soft and the
 //                            Governor (src/core/governor*); live resizes
 //                            flow through soft::ResizablePoolSet controllers
