@@ -1,7 +1,7 @@
 // Quickstart: simulate one RUBBoS trial on the 1/2/1/2 testbed, print the
 // SLA-split performance and where the bottleneck sits.
 //
-// Usage: quickstart [users] [hw e.g. 1/2/1/2] [soft e.g. 400-150-60]
+// Usage: quickstart [users > 0] [hw e.g. 1/2/1/2] [soft e.g. 400-150-60]
 //
 // Observability switches (see DESIGN.md "Observability"):
 //   SOFTRES_TRACE_RATE=0.01   trace ~1% of dynamic requests tier-by-tier and
@@ -11,7 +11,9 @@
 //   SOFTRES_PROFILE=1         count the trial's hot-path operations
 //                             (DESIGN.md §11) and print the top subsystems
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 
@@ -24,8 +26,19 @@
 using namespace softres;
 
 int main(int argc, char** argv) {
-  const std::size_t users =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 6000;
+  std::size_t users = 6000;
+  if (argc > 1) {
+    // The whole argument must be a positive decimal count: "abc", "-5",
+    // "12x", "" and "0" are usage errors, not a 0-user or wrapped-around
+    // trial.
+    const char* end = argv[1] + std::strlen(argv[1]);
+    const auto [ptr, ec] = std::from_chars(argv[1], end, users);
+    if (ec != std::errc() || ptr != end || users == 0) {
+      std::cerr << "usage: quickstart [users > 0] [hw e.g. 1/2/1/2] "
+                   "[soft e.g. 400-150-60]\n";
+      return 2;
+    }
+  }
   exp::TestbedConfig cfg = exp::TestbedConfig::defaults();
   cfg.hw = argc > 2 ? exp::HardwareConfig::parse(argv[2])
                     : exp::HardwareConfig{1, 2, 1, 2};

@@ -89,7 +89,6 @@ std::string SoftConfig::to_string() const {
 TestbedConfig TestbedConfig::defaults() {
   TestbedConfig cfg;
   cfg.node.cores = 1;  // one 3 GHz Xeon per PC3000 node
-  cfg.node.memory_mb = 2048.0;
   // Tomcat JVMs see far less allocation pressure than the C-JDBC JVM, which
   // funnels every query of every application server.
   cfg.tomcat_jvm.young_gen_mb = 64.0;

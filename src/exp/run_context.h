@@ -79,9 +79,9 @@ class RunContext {
   obs::TraceCollector& traces() { return traces_; }
   const obs::TraceCollector& traces() const { return traces_; }
 
-  /// Per-trial Request pool; the client farm allocates every request from
-  /// here. Owned by the trial context for the same reason as the simulator:
-  /// no allocator state shared across trials.
+  /// Per-trial Request pool; the client farm acquires and releases every
+  /// request here. Owned by the trial context for the same reason as the
+  /// simulator: no allocator state shared across trials.
   tier::RequestArena& requests() { return arena_; }
 
  private:
@@ -90,8 +90,9 @@ class RunContext {
   std::size_t users_ = 0;
   core::GovernorConfig governor_;
   soft::SharePolicy partition_;
-  // Declared before sim_ (so destroyed after it): pending events hold
-  // RequestPtr captures whose destructors hand requests back to the arena.
+  // Declared before sim_ (so destroyed after it): pending events and the
+  // Testbed's servers hold bare Request* into this slab, and the arena, last
+  // to go, detaches the pool units parked in requests still in flight.
   tier::RequestArena arena_;
   sim::Simulator sim_;
   sim::Rng rng_;

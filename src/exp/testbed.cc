@@ -82,8 +82,7 @@ void Testbed::build(const workload::ClientConfig& client_cfg) {
 
   // Client farm precedes the web tier so Apache can observe client load.
   farm_ = std::make_unique<workload::ClientFarm>(sim, workload_, client_cfg,
-                                                 client_up,
-                                                 &ctx_->requests());
+                                                 client_up, ctx_->requests());
 
   // Web tier.
   for (int i = 0; i < cfg_.hw.web; ++i) {

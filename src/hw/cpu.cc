@@ -15,12 +15,6 @@ Cpu::Cpu(sim::Simulator& sim, std::string name, unsigned cores,
   last_update_ = sim.now();
 }
 
-double Cpu::current_rate() const {
-  if (frozen() || jobs_.empty()) return 0.0;
-  const double n = static_cast<double>(jobs_.size());
-  return std::min(1.0, static_cast<double>(cores_) / n);
-}
-
 void Cpu::freeze(double duration) {
   if (duration <= 0.0) return;
   advance_to_now();

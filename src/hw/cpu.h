@@ -51,7 +51,6 @@ class Cpu {
 
   const std::string& name() const { return name_; }
   unsigned cores() const { return cores_; }
-  std::size_t jobs_in_service() const { return jobs_.size(); }
   bool frozen() const {
     return sim_.now() < freeze_until_ - sim::kTimeEpsilon;
   }
@@ -80,7 +79,6 @@ class Cpu {
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
 
   void advance_to_now();
-  double current_rate() const;  // per-job progress rate
   void reschedule_completion();
   void complete_ready_jobs();
   void on_completion_timer();

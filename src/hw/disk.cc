@@ -5,34 +5,38 @@
 
 namespace softres::hw {
 
-Disk::Disk(sim::Simulator& sim, std::string name, sim::DistributionPtr service,
-           sim::Rng rng)
-    : sim_(sim), name_(std::move(name)), service_(std::move(service)),
-      rng_(rng) {
-  assert(service_);
-}
+Disk::Disk(sim::Simulator& sim, std::string name, double median_s,
+           double sigma, sim::Rng rng)
+    : sim_(sim), name_(std::move(name)), median_s_(median_s), sigma_(sigma),
+      rng_(rng) {}
 
 void Disk::submit(Callback done) {
   assert(done);
   queue_.push_back(std::move(done));
-  if (!busy_) start_next();
+  if (!in_service_) start_next();
 }
 
 void Disk::start_next() {
   if (queue_.empty()) {
-    busy_ = false;
+    in_service_ = nullptr;
     return;
   }
-  busy_ = true;
-  Callback done = std::move(queue_.front());
+  in_service_ = std::move(queue_.front());
   queue_.pop_front();
-  const double s = service_->sample(rng_);
+  const double s = rng_.lognormal_median(median_s_, sigma_);
   busy_seconds_ += s;
-  sim_.schedule(s, [this, done = std::move(done)]() mutable {
-    ++ops_;
-    done();
-    start_next();
-  });
+  auto on_complete = [this] { complete(); };
+  static_assert(Callback::stores_inline<decltype(on_complete)>(),
+                "the disk completion must stay inline");
+  sim_.schedule(s, on_complete);
+}
+
+void Disk::complete() {
+  ++ops_;
+  // The operation stays in service while its callback runs, so a submit
+  // from inside the callback only queues; start_next() picks what is next.
+  in_service_();
+  start_next();
 }
 
 }  // namespace softres::hw

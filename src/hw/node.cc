@@ -2,17 +2,15 @@
 
 namespace softres::hw {
 
+// 10k-rpm drive: ~4 ms median service time with a mild tail.
+constexpr double kDiskMedianS = 0.004;
+constexpr double kDiskSigma = 0.4;
+
 Node::Node(sim::Simulator& sim, std::string name, const NodeSpec& spec,
            sim::Rng rng)
-    : name_(std::move(name)), memory_mb_(spec.memory_mb),
-      cpu_(sim, name_ + ".cpu", spec.cores, spec.context_switch_coeff) {
-  sim::DistributionPtr disk_service = spec.disk_service;
-  if (!disk_service) {
-    // 10k-rpm drive: ~4 ms median with a mild tail.
-    disk_service = sim::lognormal(0.004, 0.4);
-  }
-  disk_ = std::make_unique<Disk>(sim, name_ + ".disk", std::move(disk_service),
-                                 rng);
-}
+    : name_(std::move(name)),
+      cpu_(sim, name_ + ".cpu", spec.cores, spec.context_switch_coeff),
+      disk_(std::make_unique<Disk>(sim, name_ + ".disk", kDiskMedianS,
+                                   kDiskSigma, rng)) {}
 
 }  // namespace softres::hw

@@ -5,7 +5,6 @@
 
 #include "hw/cpu.h"
 #include "hw/disk.h"
-#include "sim/distributions.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 
@@ -15,8 +14,6 @@ namespace softres::hw {
 /// 3 GHz 64-bit Xeon, 2 GB RAM, 10k-rpm disks, 1 Gbps NIC).
 struct NodeSpec {
   unsigned cores = 1;
-  double memory_mb = 2048.0;
-  sim::DistributionPtr disk_service;  // defaults to ~4 ms lognormal if null
   /// Run-queue context-switch penalty coefficient (see hw::Cpu::submit).
   double context_switch_coeff = 0.004;
 };
@@ -33,11 +30,9 @@ class Node {
   const Cpu& cpu() const { return cpu_; }
   Disk& disk() { return *disk_; }
   const Disk& disk() const { return *disk_; }
-  double memory_mb() const { return memory_mb_; }
 
  private:
   std::string name_;
-  double memory_mb_;
   Cpu cpu_;
   std::unique_ptr<Disk> disk_;
 };

@@ -13,11 +13,6 @@ SlaSplit SlaModel::split(const sim::SampleSet& response_times,
   return s;
 }
 
-const std::vector<double>& SlaModel::common_thresholds() {
-  static const std::vector<double> kThresholds = {0.5, 1.0, 2.0};
-  return kThresholds;
-}
-
 std::vector<CohortMiss> slo_miss_by_cohort(
     const std::vector<std::pair<std::string, sim::SampleSet>>& cohorts,
     double threshold_s) {

@@ -33,8 +33,6 @@ class SlaModel {
   SlaSplit split(const sim::SampleSet& response_times,
                  double window_s) const;
 
-  const static std::vector<double>& common_thresholds();
-
  private:
   double threshold_s_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <iterator>
 #include <sstream>
 
 namespace softres::prof {
@@ -148,22 +147,32 @@ std::string one_line_profile_summary(const ProfileSnapshot& snap) {
   if (!snap.enabled) return "";
   const std::uint64_t total = snap.total_counts();
   std::ostringstream os;
-  os << "profile: " << total << " counts";
+  os << "profile: " << total << " counts, "
+     << snap.total_counts(prof::Subsystem::kDispatch) << " events";
+  // Every event is one push, one pop and one dispatch, so those three only
+  // restate the event count; the line names the top subsystems after them.
   std::size_t order[prof::kSubsystems];
-  for (std::size_t s = 0; s < prof::kSubsystems; ++s) order[s] = s;
+  std::size_t n = 0;
+  for (std::size_t s = 0; s < prof::kSubsystems; ++s) {
+    const auto sub = static_cast<prof::Subsystem>(s);
+    if (sub != prof::Subsystem::kEventQueuePush &&
+        sub != prof::Subsystem::kEventQueuePop &&
+        sub != prof::Subsystem::kDispatch) {
+      order[n++] = s;
+    }
+  }
   // Stable: ties keep enum order, so the line is deterministic.
-  std::stable_sort(std::begin(order), std::end(order),
-                   [&snap](std::size_t a, std::size_t b) {
-                     return snap.total_counts(static_cast<prof::Subsystem>(a)) >
-                            snap.total_counts(static_cast<prof::Subsystem>(b));
-                   });
-  for (std::size_t i = 0; i < 3; ++i) {
+  std::stable_sort(order, order + n, [&snap](std::size_t a, std::size_t b) {
+    return snap.total_counts(static_cast<prof::Subsystem>(a)) >
+           snap.total_counts(static_cast<prof::Subsystem>(b));
+  });
+  for (std::size_t i = 0; i < 3 && i < n; ++i) {
     const auto sub = static_cast<prof::Subsystem>(order[i]);
-    const std::uint64_t n = snap.total_counts(sub);
-    if (n == 0) break;
+    const std::uint64_t count = snap.total_counts(sub);
+    if (count == 0) break;
     char buf[96];
     std::snprintf(buf, sizeof buf, "%s %s %.1f%%", i == 0 ? ";" : ",",
-                  prof::subsystem_name(sub), share_pct(n, total));
+                  prof::subsystem_name(sub), share_pct(count, total));
     os << buf;
   }
   return os.str();

@@ -41,8 +41,9 @@ struct ProfileSnapshot {
 /// their total and its share of all counts. Empty string when !snap.enabled.
 std::string render_profile_table(const ProfileSnapshot& snap);
 
-/// One line for quickstart / report footers: the total count and the top-3
-/// subsystems by count. Empty string when !snap.enabled.
+/// One line for quickstart / report footers: the total count, the event
+/// count (dispatches) and the top three subsystems by count other than the
+/// per-event queue push/pop and dispatch. Empty string when !snap.enabled.
 std::string one_line_profile_summary(const ProfileSnapshot& snap);
 
 }  // namespace softres::obs

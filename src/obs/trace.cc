@@ -91,9 +91,9 @@ bool TraceCollector::add(const tier::Request& req) {
 }
 
 std::size_t TraceCollector::collect(
-    const std::vector<tier::RequestPtr>& requests) {
+    const std::vector<const tier::Request*>& requests) {
   std::size_t added = 0;
-  for (const auto& req : requests) {
+  for (const tier::Request* req : requests) {
     if (req != nullptr && add(*req)) ++added;
   }
   return added;

@@ -117,7 +117,7 @@ class TraceCollector {
 
   /// Bulk-add (e.g. workload::ClientFarm::traced_requests()); returns the
   /// number of requests actually collected.
-  std::size_t collect(const std::vector<tier::RequestPtr>& requests);
+  std::size_t collect(const std::vector<const tier::Request*>& requests);
 
   const std::vector<AssembledTrace>& traces() const { return traces_; }
   std::size_t size() const { return traces_.size(); }

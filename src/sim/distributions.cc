@@ -1,6 +1,5 @@
 #include "sim/distributions.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numeric>
@@ -83,47 +82,6 @@ double fast_exponential(Rng& rng, double mean) {
   return mean * ziggurat_exp(rng);
 }
 
-double LogNormal::mean() const {
-  // mean of lognormal with mu = ln(median): median * exp(sigma^2 / 2).
-  return median_ * std::exp(0.5 * sigma_ * sigma_);
-}
-
-BoundedPareto::BoundedPareto(double lo, double hi, double alpha)
-    : lo_(lo), hi_(hi), alpha_(alpha) {
-  assert(lo > 0.0 && hi > lo && alpha > 0.0);
-}
-
-double BoundedPareto::sample(Rng& rng) const {
-  const double u = rng.next_double();
-  const double la = std::pow(lo_, alpha_);
-  const double ha = std::pow(hi_, alpha_);
-  // Inverse CDF of the bounded Pareto.
-  const double x = -(u * ha - u * la - ha) / (ha * la);
-  return std::pow(x, -1.0 / alpha_);
-}
-
-double BoundedPareto::mean() const {
-  if (std::abs(alpha_ - 1.0) < 1e-12) {
-    return std::log(hi_ / lo_) / (1.0 / lo_ - 1.0 / hi_);
-  }
-  const double la = std::pow(lo_, alpha_);
-  const double ha = std::pow(hi_, alpha_);
-  return la / (1.0 - la / ha) * (alpha_ / (alpha_ - 1.0)) *
-         (1.0 / std::pow(lo_, alpha_ - 1.0) - 1.0 / std::pow(hi_, alpha_ - 1.0));
-}
-
-Empirical::Empirical(std::vector<double> values) : values_(std::move(values)) {
-  assert(!values_.empty());
-  mean_ = std::accumulate(values_.begin(), values_.end(), 0.0) /
-          static_cast<double>(values_.size());
-}
-
-double Empirical::sample(Rng& rng) const {
-  const auto i = static_cast<std::size_t>(
-      rng.uniform_int(0, static_cast<std::int64_t>(values_.size()) - 1));
-  return values_[i];
-}
-
 DiscreteChoice::DiscreteChoice(std::vector<double> weights) {
   assert(!weights.empty());
   const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
@@ -183,48 +141,6 @@ std::size_t DiscreteChoice::sample(Rng& rng) const {
 double DiscreteChoice::probability(std::size_t i) const {
   assert(i < probability_.size());
   return probability_[i];
-}
-
-Zipf::Zipf(std::size_t n, double s)
-    : choice_([n, s] {
-        assert(n > 0);
-        std::vector<double> w(n);
-        for (std::size_t k = 0; k < n; ++k) {
-          w[k] = std::pow(static_cast<double>(k + 1), -s);
-        }
-        return w;
-      }()) {
-  for (std::size_t k = 1; k <= n; ++k) {
-    mean_ += static_cast<double>(k) * choice_.probability(k - 1);
-  }
-}
-
-double Zipf::sample(Rng& rng) const {
-  return static_cast<double>(sample_rank(rng));
-}
-
-std::size_t Zipf::sample_rank(Rng& rng) const {
-  return choice_.sample(rng) + 1;
-}
-
-DistributionPtr constant(double v) { return std::make_shared<Deterministic>(v); }
-DistributionPtr exponential(double mean) {
-  return std::make_shared<Exponential>(mean);
-}
-DistributionPtr lognormal(double median, double sigma) {
-  return std::make_shared<LogNormal>(median, sigma);
-}
-DistributionPtr shifted_exp(double offset, double mean_extra) {
-  return std::make_shared<ShiftedExponential>(offset, mean_extra);
-}
-DistributionPtr uniform(double lo, double hi) {
-  return std::make_shared<Uniform>(lo, hi);
-}
-DistributionPtr bounded_pareto(double lo, double hi, double alpha) {
-  return std::make_shared<BoundedPareto>(lo, hi, alpha);
-}
-DistributionPtr zipf(std::size_t n, double s) {
-  return std::make_shared<Zipf>(n, s);
 }
 
 }  // namespace softres::sim

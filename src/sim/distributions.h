@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/rng.h"
@@ -19,109 +18,6 @@ namespace softres::sim {
 /// determinism contract fixes the stream per seed, not the draws per call).
 /// mean <= 0 returns 0, matching Rng::exponential.
 double fast_exponential(Rng& rng, double mean);
-
-/// A sampleable non-negative random variable. Service demands, think times,
-/// FIN delays etc. are all expressed as Distributions so workloads can be
-/// reconfigured without touching the servers.
-class Distribution {
- public:
-  virtual ~Distribution() = default;
-  virtual double sample(Rng& rng) const = 0;
-  /// Analytical mean (used by operational-law sanity checks).
-  virtual double mean() const = 0;
-};
-
-using DistributionPtr = std::shared_ptr<const Distribution>;
-
-/// Point mass at `value`.
-class Deterministic final : public Distribution {
- public:
-  explicit Deterministic(double value) : value_(value) {}
-  double sample(Rng&) const override { return value_; }
-  double mean() const override { return value_; }
-
- private:
-  double value_;
-};
-
-class Exponential final : public Distribution {
- public:
-  explicit Exponential(double mean) : mean_(mean) {}
-  double sample(Rng& rng) const override {
-    return fast_exponential(rng, mean_);
-  }
-  double mean() const override { return mean_; }
-
- private:
-  double mean_;
-};
-
-class Uniform final : public Distribution {
- public:
-  Uniform(double lo, double hi) : lo_(lo), hi_(hi) {}
-  double sample(Rng& rng) const override { return rng.uniform(lo_, hi_); }
-  double mean() const override { return 0.5 * (lo_ + hi_); }
-
- private:
-  double lo_;
-  double hi_;
-};
-
-/// Log-normal parameterised by median and log-space sigma; widely used for
-/// service times with occasional long tails (e.g. disk seeks, FIN waits).
-class LogNormal final : public Distribution {
- public:
-  LogNormal(double median, double sigma) : median_(median), sigma_(sigma) {}
-  double sample(Rng& rng) const override {
-    return rng.lognormal_median(median_, sigma_);
-  }
-  double mean() const override;
-
- private:
-  double median_;
-  double sigma_;
-};
-
-/// Bounded Pareto on [lo, hi] with shape alpha; models heavy-tailed demands.
-class BoundedPareto final : public Distribution {
- public:
-  BoundedPareto(double lo, double hi, double alpha);
-  double sample(Rng& rng) const override;
-  double mean() const override;
-
- private:
-  double lo_;
-  double hi_;
-  double alpha_;
-};
-
-/// Shifted exponential: `offset + Exp(mean_extra)`; a common model for
-/// "constant work plus random tail" service demands.
-class ShiftedExponential final : public Distribution {
- public:
-  ShiftedExponential(double offset, double mean_extra)
-      : offset_(offset), mean_extra_(mean_extra) {}
-  double sample(Rng& rng) const override {
-    return offset_ + fast_exponential(rng, mean_extra_);
-  }
-  double mean() const override { return offset_ + mean_extra_; }
-
- private:
-  double offset_;
-  double mean_extra_;
-};
-
-/// Empirical distribution: samples uniformly from observed values.
-class Empirical final : public Distribution {
- public:
-  explicit Empirical(std::vector<double> values);
-  double sample(Rng& rng) const override;
-  double mean() const override { return mean_; }
-
- private:
-  std::vector<double> values_;
-  double mean_ = 0.0;
-};
 
 /// Weighted discrete choice over indices 0..n-1. Sampling uses a
 /// Walker/Vose alias table built at construction: one uniform draw, one
@@ -141,37 +37,5 @@ class DiscreteChoice {
   std::vector<double> prob_;            // alias acceptance thresholds
   std::vector<std::uint32_t> alias_;    // alias targets
 };
-
-/// Zipf(n, s) over ranks 1..n: P(k) proportional to k^-s. Backed by the same
-/// alias-table construction as DiscreteChoice, so sampling is O(1) however
-/// large the catalogue — the power-law popularity model for content
-/// selection (RUBBoS stories, static objects) at web scale. sample() returns
-/// the rank as a double (Distribution interface); sample_rank() returns it
-/// typed.
-class Zipf final : public Distribution {
- public:
-  Zipf(std::size_t n, double s);
-  double sample(Rng& rng) const override;
-  std::size_t sample_rank(Rng& rng) const;
-  double mean() const override { return mean_; }
-  std::size_t size() const { return choice_.size(); }
-  /// P(rank); rank in [1, n].
-  double probability(std::size_t rank) const {
-    return choice_.probability(rank - 1);
-  }
-
- private:
-  DiscreteChoice choice_;
-  double mean_ = 0.0;
-};
-
-// Convenience factories.
-DistributionPtr constant(double v);
-DistributionPtr exponential(double mean);
-DistributionPtr lognormal(double median, double sigma);
-DistributionPtr shifted_exp(double offset, double mean_extra);
-DistributionPtr uniform(double lo, double hi);
-DistributionPtr bounded_pareto(double lo, double hi, double alpha);
-DistributionPtr zipf(std::size_t n, double s);
 
 }  // namespace softres::sim

@@ -4,18 +4,6 @@
 
 namespace softres::soft {
 
-const char* pool_role_name(PoolRole role) {
-  switch (role) {
-    case PoolRole::kWebWorkers:
-      return "web_workers";
-    case PoolRole::kAppThreads:
-      return "app_threads";
-    case PoolRole::kDbConnections:
-      return "db_connections";
-  }
-  return "unknown";
-}
-
 void ResizablePoolSet::add(Pool& pool, PoolRole role, std::size_t floor,
                            std::size_t ceiling) {
   Entry e;

@@ -14,8 +14,6 @@ namespace softres::soft {
 /// web_buffer_factor) without knowing anything about tier classes.
 enum class PoolRole { kWebWorkers, kAppThreads, kDbConnections };
 
-const char* pool_role_name(PoolRole role);
-
 /// Uniform registration surface for every live-resizable pool in a testbed.
 ///
 /// Tiers register the pools they own (instead of a controller grubbing through

@@ -20,16 +20,13 @@ ApacheServer::ApacheServer(sim::Simulator& sim, std::string name,
   set_profile_subsystem(prof::Subsystem::kApacheService);
 }
 
-void ApacheServer::handle(const RequestPtr& req, Callback responded) {
+void ApacheServer::handle(Request* r, Callback responded) {
   // Residence state lives in the request (see Request::ApacheVisitState) so
-  // the stage callbacks capture a bare Request* and stay inline. This visit
-  // keeps the request alive for every inner tier, whose visits nest in it.
-  auto& v = req->apache_visit;
-  v.self = req;
+  // the stage callbacks capture a bare Request* and stay inline.
+  auto& v = r->apache_visit;
   v.server = this;
-  if (req->trace) req->trace->apache_arrived = sim().now();
+  if (r->trace) r->trace->apache_arrived = sim().now();
   v.responded = std::move(responded);
-  Request* r = req.get();
   workers_.acquire(
       [r] {
         // Adopt the grant into the request's guard before anything can exit:
@@ -38,7 +35,7 @@ void ApacheServer::handle(const RequestPtr& req, Callback responded) {
         av.worker.adopt(av.server->workers_, r->tenant);
         on_worker(r);
       },
-      req->tenant);
+      r->tenant);
 }
 
 void ApacheServer::on_worker(Request* r) {
@@ -87,15 +84,16 @@ void ApacheServer::respond(Request* r) {
     ApacheServer* s = v.server;
     const sim::SimTime worker_started = v.worker_started;
     Callback responded = std::move(v.responded);
-    RequestPtr keep = std::move(v.self);  // alive until the span is recorded
     // Lingering close: the worker stays bound to the connection until the
-    // client FINs — it outlives the request, which is recycled as soon as
-    // `keep` drops. The guard therefore cannot ride in the FIN closure;
+    // client FINs — it outlives the request, which its owner recycles once
+    // `responded` fires. The guard therefore cannot ride in the FIN closure;
     // detach the unit and pay it back manually when the timer fires.
     // The tenant id must ride the FIN closure separately: detach() severs
     // the guard (and with it the tenant) from the unit.
     const std::uint32_t tenant = v.worker.tenant();
     v.worker.detach();
+    // The link delivers `responded` as a later event, so `r` stays valid for
+    // the rest of this stage.
     s->to_client_.send(r->response_bytes, std::move(responded));
     s->job_left(worker_started);
     ++s->win_processed_;

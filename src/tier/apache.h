@@ -35,8 +35,9 @@ class ApacheServer : public Server {
 
   /// Process one HTTP request; `responded` fires when the response has been
   /// delivered to the client (the worker is then still tied up in the FIN
-  /// wait).
-  void handle(const RequestPtr& req, Callback responded);
+  /// wait). The caller owns `r` and must keep it alive until `responded`
+  /// fires; no tier touches it after that.
+  void handle(Request* r, Callback responded);
 
   /// Return path of a dynamic request's Tomcat visit: TomcatServer::submit
   /// ends here once the servlet's response leaves Tomcat.

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/inline_callback.h"
@@ -15,64 +14,10 @@
 
 namespace softres::tier {
 
-class RequestArena;
-struct Request;
 class ApacheServer;
 class TomcatServer;
 class CJdbcServer;
 class MySqlServer;
-
-/// Intrusive smart pointer to a Request (declared ahead of Request so the
-/// request's keep-alive blocks can hold copies; member definitions follow
-/// the Request definition). Copying bumps a plain (non-atomic) counter; the
-/// last owner returns the Request to its arena's freelist, or deletes it
-/// when the Request was heap-allocated without an arena (tests, ad-hoc
-/// tools). Replaces std::shared_ptr<Request> on the hot path: half the
-/// capture footprint (8 bytes vs 16) and no lock-prefixed refcount traffic.
-class RequestPtr {
- public:
-  RequestPtr() noexcept = default;
-  RequestPtr(std::nullptr_t) noexcept {}  // NOLINT(runtime/explicit)
-  /// Shares ownership of `p`, bumping its refcount.
-  explicit RequestPtr(Request* p) noexcept;
-  RequestPtr(const RequestPtr& o) noexcept;
-  RequestPtr(RequestPtr&& o) noexcept : p_(o.p_) { o.p_ = nullptr; }
-  RequestPtr& operator=(const RequestPtr& o) noexcept {
-    RequestPtr(o).swap(*this);
-    return *this;
-  }
-  RequestPtr& operator=(RequestPtr&& o) noexcept {
-    RequestPtr(std::move(o)).swap(*this);
-    return *this;
-  }
-  ~RequestPtr() { release(); }
-
-  void reset() noexcept {
-    release();
-    p_ = nullptr;
-  }
-  void swap(RequestPtr& o) noexcept { std::swap(p_, o.p_); }
-
-  Request* get() const noexcept { return p_; }
-  Request& operator*() const noexcept { return *p_; }
-  Request* operator->() const noexcept { return p_; }
-  explicit operator bool() const noexcept { return p_ != nullptr; }
-
-  friend bool operator==(const RequestPtr& a, const RequestPtr& b) {
-    return a.p_ == b.p_;
-  }
-  friend bool operator!=(const RequestPtr& a, const RequestPtr& b) {
-    return a.p_ != b.p_;
-  }
-
-  /// Owners of this request (test/diagnostic hook).
-  std::uint32_t use_count() const noexcept;
-
- private:
-  void release() noexcept;
-
-  Request* p_ = nullptr;
-};
 
 enum class RequestKind {
   kDynamic,  // servlet interaction (hits Tomcat, C-JDBC, MySQL)
@@ -176,27 +121,23 @@ struct Request {
   /// inline in InlineFunction) and recycles the storage with the request.
   ///
   /// Protocol: a tier fills its block on entry; the block is dead once the
-  /// visit is over. Only the client hold and the Apache visit keep the
-  /// request alive, and they empty their `self` before the request comes to
-  /// rest. Every inner visit nests inside the Apache visit, so the inner
-  /// tiers hold no reference and keep no continuation: each returns to its
-  /// one fixed caller through a direct static call (MySqlServer ->
+  /// visit is over. A request has one owner, whoever acquired it from the
+  /// RequestArena (the client farm in a trial), and it is released only
+  /// after its response has been delivered, so every visit nests inside the
+  /// owner's hold and no tier keeps the request alive itself. The inner
+  /// tiers keep no continuation either: each returns to its one fixed caller
+  /// through a direct static call (MySqlServer ->
   /// CJdbcServer::on_backend_reply, CJdbcServer ->
   /// TomcatServer::on_query_reply, TomcatServer ->
   /// ApacheServer::on_tomcat_reply) that reads the caller from the caller's
   /// own block. At most one visit per tier is in flight per request — the
-  /// query loop is sequential — so one block per tier suffices. A filled
-  /// keep-alive block makes the request own a reference to itself;
-  /// RequestArena's destructor breaks those cycles for trials that tear down
-  /// with requests mid-flight.
-  struct ClientHoldState {  // client farm: keeps the request alive from
-    RequestPtr self;        // link send until the response callback
+  /// query loop is sequential — so one block per tier suffices.
+  struct ClientHoldState {  // client farm: the owner's per-request state
     std::uint32_t user = 0;
     int statics_remaining = 0;
     ApacheServer* target = nullptr;
   } client_hold;
   struct ApacheVisitState {  // one page's Apache residence
-    RequestPtr self;
     ApacheServer* server = nullptr;
     sim::SimTime worker_started = 0.0;
     sim::SimTime conn_started = 0.0;
@@ -226,17 +167,9 @@ struct Request {
     sim::SimTime entered = 0.0;
   } mysql_visit;
 
-  /// Intrusive bookkeeping, managed by RequestPtr / RequestArena. The count
-  /// is deliberately non-atomic: a Request lives and dies inside one trial,
-  /// and a trial runs on exactly one thread (see exp::RunContext), so the
-  /// atomic increments std::shared_ptr pays on every lambda capture along the
-  /// Apache -> Tomcat -> C-JDBC -> MySQL chain buy nothing here.
-  RequestArena* arena_ = nullptr;
-  std::uint32_t refs_ = 0;
-
-  /// Restore the sampled/recorded fields to their freshly-constructed state
-  /// (refs_/arena_ excluded; the arena manages those across recycles). Visit
-  /// blocks are overwritten on entry, so only their owning members matter.
+  /// Restore the sampled/recorded fields to their freshly-constructed state.
+  /// Visit blocks are overwritten on entry, so only their owning members
+  /// matter.
   void reset_for_reuse() {
     id = 0;
     kind = RequestKind::kDynamic;
@@ -255,8 +188,7 @@ struct Request {
     trace.reset();
     // The visit-block protocol guarantees a request at rest has empty
     // blocks; a populated one here means a tier leaked its in-flight state.
-    assert(!client_hold.self);
-    assert(!apache_visit.self && !apache_visit.responded);
+    assert(!apache_visit.responded);
     assert(!apache_visit.worker);
     assert(!tomcat_visit.thread && !tomcat_visit.db_conn);
   }
@@ -264,25 +196,20 @@ struct Request {
 
 // The paper's operating points keep thousands of requests live per trial, so
 // this size is a memory budget (perfbench reports it as mem.request_bytes).
-static_assert(sizeof(Request) <= 336, "tier::Request outgrew its budget");
-
-inline RequestPtr::RequestPtr(Request* p) noexcept : p_(p) {
-  if (p_ != nullptr) ++p_->refs_;
-}
-inline RequestPtr::RequestPtr(const RequestPtr& o) noexcept : p_(o.p_) {
-  if (p_ != nullptr) ++p_->refs_;
-}
-inline std::uint32_t RequestPtr::use_count() const noexcept {
-  return p_ != nullptr ? p_->refs_ : 0;
-}
+static_assert(sizeof(Request) <= 296, "tier::Request outgrew its budget");
 
 /// Freelist-backed pool of Request objects for one trial. Requests are
 /// carved from fixed chunks of kChunk (stable addresses, one allocation per
 /// chunk) and recycled through a LIFO freelist, so a trial touches the
 /// allocator once per kChunk requests while the pool grows toward the
 /// trial's peak concurrency and never after. Owned by exp::RunContext, which
-/// declares it before the Simulator: anything a pending event still holds
-/// must find the arena alive when the engine is torn down.
+/// declares it before the Simulator so it outlives everything that still
+/// holds a Request* when a trial is torn down at its horizon.
+///
+/// Ownership is static: whoever acquire()s a request release()s it exactly
+/// once, after the last tier is done with it. Requests never released (those
+/// in flight at the horizon, the farm's traced requests) are destroyed with
+/// the arena.
 ///
 /// Not thread-safe by design — one arena per trial, one trial per thread.
 class RequestArena {
@@ -294,50 +221,37 @@ class RequestArena {
   RequestArena(const RequestArena&) = delete;
   RequestArena& operator=(const RequestArena&) = delete;
   ~RequestArena() {
-    // A trial that stops at its horizon tears down with requests mid-flight,
-    // and an in-flight request owns a reference to itself through its
-    // keep-alive blocks (and `responded` may capture more). Break those
-    // cycles before the drain check — in two phases, stealing every block
-    // first so phase two's cascading releases (which recycle requests and
-    // assert their blocks are empty) never see a filled block.
-    std::vector<RequestPtr> keeps;
-    std::vector<sim::InlineCallback> dones;
+    // A trial that stops at its horizon tears down with requests mid-flight
+    // and deliberately abandons the pool units parked in them. They are
+    // detached, not released: the pools live in the Testbed, which the run
+    // tears down before this arena, and a release would also synchronously
+    // grant a waiter mid-teardown.
     for (std::size_t i = 0; i < carved_; ++i) {
       Request& r = slot(i);
-      // Parked pool units are detached, not released: the pools live in the
-      // Testbed, which the run tears down before this arena, and a release
-      // would also synchronously grant a waiter mid-teardown. A trial that
-      // stops at its horizon deliberately abandons these units.
       r.apache_visit.worker.detach();
       r.tomcat_visit.thread.detach();
       r.tomcat_visit.db_conn.detach();
-      keeps.push_back(std::move(r.client_hold.self));
-      keeps.push_back(std::move(r.apache_visit.self));
-      dones.push_back(std::move(r.apache_visit.responded));
     }
-    dones.clear();
-    keeps.clear();
-    // Every request must now be back in the freelist: the arena outlives
-    // all other RequestPtrs by the RunContext/Testbed member-ordering
-    // contract.
-    assert(free_.size() == carved_);
   }
 
-  /// A fresh (default-state) request owned by this arena.
-  RequestPtr acquire() {
+  /// A fresh (default-state) request; the caller owns it until release().
+  Request* acquire() {
     SOFTRES_PROF_COUNT(kArenaAlloc);
-    Request* r;
     if (!free_.empty()) {
-      r = free_.back();
+      Request* r = free_.back();
       free_.pop_back();
-    } else {
-      if (carved_ % kChunk == 0) {
-        chunks_.push_back(std::make_unique<Request[]>(kChunk));
-      }
-      r = &slot(carved_++);
-      r->arena_ = this;
+      return r;
     }
-    return RequestPtr(r);
+    if (carved_ % kChunk == 0) {
+      chunks_.push_back(std::make_unique<Request[]>(kChunk));
+    }
+    return &slot(carved_++);
+  }
+
+  /// Reset `r` and return it to the freelist. No tier may touch it after.
+  void release(Request* r) {
+    r->reset_for_reuse();
+    free_.push_back(r);
   }
 
   /// Slab high-water mark: distinct Request objects ever carved.
@@ -346,33 +260,11 @@ class RequestArena {
   std::size_t free_count() const { return free_.size(); }
 
  private:
-  friend class RequestPtr;
-  void recycle(Request* r) {
-    r->reset_for_reuse();
-    free_.push_back(r);
-  }
   Request& slot(std::size_t i) { return chunks_[i / kChunk][i % kChunk]; }
 
   std::vector<std::unique_ptr<Request[]>> chunks_;
   std::size_t carved_ = 0;
   std::vector<Request*> free_;
 };
-
-inline void RequestPtr::release() noexcept {
-  if (p_ != nullptr && --p_->refs_ == 0) {
-    if (p_->arena_ != nullptr) {
-      p_->arena_->recycle(p_);
-    } else {
-      delete p_;
-    }
-  }
-}
-
-/// A fresh request: from `arena` when one is supplied, else heap-allocated
-/// (the convenience path for tests and standalone tools).
-inline RequestPtr make_request(RequestArena* arena = nullptr) {
-  if (arena != nullptr) return arena->acquire();
-  return RequestPtr(new Request());
-}
 
 }  // namespace softres::tier

@@ -46,7 +46,6 @@ class Server {
   double window_throughput() const;
   /// Mean residence time of requests completed in the window.
   double window_mean_rt() const { return rt_stats_.mean(); }
-  const sim::Welford& window_rt_stats() const { return rt_stats_; }
   /// Time-average number of jobs inside the server over the window.
   double window_avg_jobs() const;
 

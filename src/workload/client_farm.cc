@@ -12,7 +12,7 @@ constexpr std::uint64_t kTenantStreamSalt = 0x7e6a9c15b4d3f201ull;
 
 ClientFarm::ClientFarm(sim::Simulator& sim, const RubbosWorkload& workload,
                        ClientConfig config, hw::Link& to_server,
-                       tier::RequestArena* arena)
+                       tier::RequestArena& arena)
     : sim_(sim), workload_(workload), config_(std::move(config)),
       to_server_(to_server), arena_(arena) {
   if (!config_.tenants.empty()) {
@@ -114,14 +114,6 @@ void ClientFarm::sample_tenant_window(std::size_t t, sim::SimTime now) {
   w.cached_at = now;
 }
 
-void ClientFarm::set_load_schedule(std::vector<LoadPhase> schedule) {
-  for (const auto& phase : schedule) {
-    assert(phase.active_users <= config_.users);
-    (void)phase;
-  }
-  schedule_ = std::move(schedule);
-}
-
 double ClientFarm::demand_scale(sim::SimTime t) const {
   double scale = 1.0;
   // Tiny sorted schedule; the last phase that has started wins.
@@ -159,13 +151,8 @@ void ClientFarm::start() {
     }
     return;
   }
-  // A shape carried in the config is the default schedule; an explicit
-  // set_load_schedule() call (made before start()) wins.
-  if (schedule_.empty() && !config_.load_schedule.empty()) {
-    set_load_schedule(config_.load_schedule);
-  }
   user_active_.assign(config_.users, false);
-  if (schedule_.empty()) {
+  if (config_.load_schedule.empty()) {
     // Fixed population: stagger activation uniformly across the ramp-up.
     active_target_ = config_.users;
     for (std::size_t u = 0; u < config_.users; ++u) {
@@ -176,7 +163,8 @@ void ClientFarm::start() {
     }
     return;
   }
-  for (const auto& phase : schedule_) {
+  for (const auto& phase : config_.load_schedule) {
+    assert(phase.active_users <= config_.users);
     sim_.schedule_at(phase.start,
                      [this, n = phase.active_users] { apply_target(n); });
   }
@@ -257,37 +245,34 @@ void ClientFarm::think_then_browse(std::size_t u) {
 
 void ClientFarm::issue_page(std::size_t u) {
   if (stopped()) return;
-  tier::RequestPtr req = tier::make_request(arena_);
-  req->id = next_request_id_++;
-  if (!tenant_of_user_.empty()) req->tenant = tenant_of_user_[u];
-  workload_.sample_dynamic(*req, user_rngs_[u]);
+  tier::Request* r = arena_.acquire();
+  r->id = next_request_id_++;
+  if (!tenant_of_user_.empty()) r->tenant = tenant_of_user_[u];
+  workload_.sample_dynamic(*r, user_rngs_[u]);
   if (!config_.demand_schedule.empty()) {
     // Tier slowdown/recovery: scale backend demands at issue time. The RNG
     // stream is untouched, so a scaled trial replays the same request mix.
     const double scale = demand_scale(sim_.now());
-    req->tomcat_demand_s *= scale;
-    req->cjdbc_demand_s *= scale;
-    req->mysql_demand_s *= scale;
+    r->tomcat_demand_s *= scale;
+    r->cjdbc_demand_s *= scale;
+    r->mysql_demand_s *= scale;
   }
-  req->sent_at = sim_.now();
+  r->sent_at = sim_.now();
   ++pages_started_;
   dynamic_requests_.inc();
   if (config_.trace_sample_rate > 0.0 &&
       traced_.size() < kMaxTracedRequests &&
-      should_trace(req->id)) {
-    req->enable_trace();
-    traced_.push_back(req);
+      should_trace(r->id)) {
+    r->enable_trace();
+    traced_.push_back(r);
   }
   // In-flight state parks in the request so the send/response callbacks
   // below capture {this, Request*} and stay inside InlineFunction's buffer.
-  auto& hold = req->client_hold;
-  hold.self = req;
+  auto& hold = r->client_hold;
   hold.user = static_cast<std::uint32_t>(u);
   hold.target = next_apache();
-  tier::Request* r = req.get();
   to_server_.send(r->request_bytes, [this, r] {
-    r->client_hold.target->handle(tier::RequestPtr(r),
-                                  [this, r] { on_page_done(r); });
+    r->client_hold.target->handle(r, [this, r] { on_page_done(r); });
   });
 }
 
@@ -310,9 +295,11 @@ void ClientFarm::on_page_done(tier::Request* r) {
       }
     }
   }
-  const std::size_t u = r->client_hold.user;
-  tier::RequestPtr keep = std::move(r->client_hold.self);
-  issue_static(u, RubbosWorkload::kStaticsPerPage);
+  // Release after issuing the next request, not before: the order sets the
+  // slab's high-water mark, which perfbench reports as
+  // mem.request_slab_peak.
+  issue_static(r->client_hold.user, RubbosWorkload::kStaticsPerPage);
+  if (!r->traced()) arena_.release(r);  // traced requests stay collectable
 }
 
 void ClientFarm::issue_static(std::size_t u, int remaining) {
@@ -320,29 +307,24 @@ void ClientFarm::issue_static(std::size_t u, int remaining) {
     think_then_browse(u);
     return;
   }
-  tier::RequestPtr req = tier::make_request(arena_);
-  req->id = next_request_id_++;
-  if (!tenant_of_user_.empty()) req->tenant = tenant_of_user_[u];
-  workload_.sample_static(*req, user_rngs_[u]);
-  req->sent_at = sim_.now();
+  tier::Request* r = arena_.acquire();
+  r->id = next_request_id_++;
+  if (!tenant_of_user_.empty()) r->tenant = tenant_of_user_[u];
+  workload_.sample_static(*r, user_rngs_[u]);
+  r->sent_at = sim_.now();
   static_requests_.inc();
-  auto& hold = req->client_hold;
-  hold.self = req;
+  auto& hold = r->client_hold;
   hold.user = static_cast<std::uint32_t>(u);
   hold.statics_remaining = remaining;
   hold.target = next_apache();
-  tier::Request* r = req.get();
   to_server_.send(r->request_bytes, [this, r] {
-    r->client_hold.target->handle(tier::RequestPtr(r),
-                                  [this, r] { on_static_done(r); });
+    r->client_hold.target->handle(r, [this, r] { on_static_done(r); });
   });
 }
 
 void ClientFarm::on_static_done(tier::Request* r) {
-  const std::size_t u = r->client_hold.user;
-  const int remaining = r->client_hold.statics_remaining;
-  tier::RequestPtr keep = std::move(r->client_hold.self);
-  issue_static(u, remaining - 1);
+  issue_static(r->client_hold.user, r->client_hold.statics_remaining - 1);
+  arena_.release(r);  // statics are never traced
 }
 
 bool ClientFarm::should_trace(std::uint64_t request_id) const {

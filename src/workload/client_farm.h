@@ -75,11 +75,11 @@ struct ClientConfig {
   /// switch via exp::ExperimentOptions::trace_sample_rate.
   double trace_sample_rate = 0.0;
   /// Optional time-varying load shape (flash crowd, diurnal wave — see
-  /// workload/load_shapes.h). When non-empty and set_load_schedule() was not
-  /// called explicitly, start() follows this profile instead of the fixed
-  /// population. Phase populations must not exceed `users`. Carried in the
-  /// config so experiment harnesses can plumb scenarios through
-  /// ExperimentOptions without touching the farm directly.
+  /// workload/load_shapes.h). When non-empty, start() follows this profile
+  /// instead of the fixed population. Phase populations must not exceed
+  /// `users` (the slot pool). Carried in the config so experiment harnesses
+  /// can plumb scenarios through ExperimentOptions without touching the farm
+  /// directly.
   std::vector<LoadPhase> load_schedule;
   /// Optional backend service-demand profile (tier slowdown/recovery).
   std::vector<DemandPhase> demand_schedule;
@@ -96,25 +96,21 @@ struct ClientConfig {
 /// recorded for the SLA goodput analysis.
 class ClientFarm {
  public:
-  /// `arena`, when supplied, is the per-trial Request pool every issued
-  /// request is drawn from (it must outlive the farm and the simulator's
-  /// pending events — exp::RunContext guarantees both). Without an arena the
-  /// farm heap-allocates requests, which standalone tests use.
+  /// `arena` is the per-trial Request pool every issued request is drawn
+  /// from. The farm is each request's one owner: it releases a request once
+  /// the response has arrived, keeping only the traced ones. The arena must
+  /// outlive the farm and the simulator's pending events — exp::RunContext
+  /// guarantees both.
   ClientFarm(sim::Simulator& sim, const RubbosWorkload& workload,
              ClientConfig config, hw::Link& to_server,
-             tier::RequestArena* arena = nullptr);
+             tier::RequestArena& arena);
 
   /// Register the web server(s) requests go to; at least one must be added
   /// before start(). Multiple servers are used round-robin (DNS balancing).
   void add_target(tier::ApacheServer& apache) { apaches_.push_back(&apache); }
 
-  /// Replace the default fixed-population behaviour with an elastic load
-  /// profile. Phase populations must not exceed `config.users` (the slot
-  /// pool). Call before start().
-  void set_load_schedule(std::vector<LoadPhase> schedule);
-
   /// Activate the users, staggered across the ramp-up period (fixed
-  /// population) or according to the load schedule (elastic).
+  /// population) or according to `ClientConfig::load_schedule` (elastic).
   void start();
 
   /// Sessions currently active (the elastic population).
@@ -152,10 +148,6 @@ class ClientFarm {
   // Multi-tenant views (num_tenants() == 0 on a legacy farm).
   std::size_t num_tenants() const { return config_.tenants.size(); }
   const TenantSpec& tenant(std::size_t t) const { return config_.tenants[t]; }
-  /// Sessions of tenant `t` currently active.
-  std::size_t tenant_active_users(std::size_t t) const {
-    return tenant_started_[t];
-  }
   /// Dynamic-request response times of tenant `t` inside the window.
   const sim::SampleSet& tenant_response_times(std::size_t t) const {
     return tenant_rts_[t];
@@ -166,7 +158,9 @@ class ClientFarm {
   double tenant_goodput(std::size_t t, double threshold_s) const;
 
   /// Requests that carried tier-by-tier tracing (Fig 9 style analysis).
-  const std::vector<tier::RequestPtr>& traced_requests() const {
+  /// The farm never releases these, so they stay readable in the arena
+  /// until it is destroyed.
+  const std::vector<const tier::Request*>& traced_requests() const {
     return traced_;
   }
   static constexpr std::size_t kMaxTracedRequests = 200;
@@ -198,12 +192,11 @@ class ClientFarm {
   const RubbosWorkload& workload_;
   ClientConfig config_;
   hw::Link& to_server_;
-  tier::RequestArena* arena_ = nullptr;
+  tier::RequestArena& arena_;
   std::vector<tier::ApacheServer*> apaches_;
   std::size_t next_apache_ = 0;
 
   std::vector<sim::Rng> user_rngs_;
-  std::vector<LoadPhase> schedule_;
   std::vector<bool> user_active_;
   std::size_t active_target_ = 0;
   std::size_t started_users_ = 0;
@@ -212,7 +205,7 @@ class ClientFarm {
 
   sim::SampleSet rts_;
   std::vector<sim::SimTime> completion_times_;
-  std::vector<tier::RequestPtr> traced_;
+  std::vector<const tier::Request*> traced_;
 
   // Multi-tenant state (all empty on a legacy farm).
   std::vector<std::uint32_t> tenant_of_user_;

@@ -9,9 +9,9 @@
 namespace softres::workload {
 
 /// Canonical time-varying load shapes for governor scenarios. Each
-/// returns a LoadPhase schedule for ClientConfig::load_schedule (or
-/// ClientFarm::set_load_schedule). All are pure functions of their
-/// arguments — no randomness, so scenario identity stays deterministic.
+/// returns a LoadPhase schedule for ClientConfig::load_schedule. All are
+/// pure functions of their arguments — no randomness, so scenario identity
+/// stays deterministic.
 
 /// Flash crowd: `baseline` users, spiking to `peak` at `crowd_start` for
 /// `crowd_duration_s`, then back to baseline (paper §I: internet-facing

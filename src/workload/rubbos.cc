@@ -113,18 +113,4 @@ double RubbosWorkload::mean_tomcat_demand() const {
   return acc;
 }
 
-double RubbosWorkload::mean_cjdbc_demand_per_request() const {
-  return req_ratio() * profile_.cjdbc_per_query_s;
-}
-
-double RubbosWorkload::mean_mysql_demand_per_request() const {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < interactions_.size(); ++i) {
-    acc += choice_.probability(i) *
-           static_cast<double>(interactions_[i].num_queries) *
-           profile_.mysql_per_query_s * interactions_[i].mysql_mult;
-  }
-  return acc;
-}
-
 }  // namespace softres::workload

@@ -59,11 +59,9 @@ class RubbosWorkload {
   /// Req_ratio between the Tomcat and C-JDBC tiers).
   double req_ratio() const;
 
-  /// Mix-weighted mean CPU seconds per dynamic request at each tier (for
-  /// capacity back-of-envelope checks and tests).
+  /// Mix-weighted mean Tomcat CPU seconds per dynamic request (for capacity
+  /// back-of-envelope checks and tests).
   double mean_tomcat_demand() const;
-  double mean_cjdbc_demand_per_request() const;
-  double mean_mysql_demand_per_request() const;
 
   static constexpr int kStaticsPerPage = 2;
 

@@ -12,9 +12,10 @@
 namespace softres::hw {
 namespace {
 
+// The disk tests use sigma 0: every operation takes exactly the median.
 TEST(DiskTest, FcfsOrdering) {
   sim::Simulator sim;
-  Disk disk(sim, "d", sim::constant(0.01), sim::Rng(1));
+  Disk disk(sim, "d", 0.01, 0.0, sim::Rng(1));
   std::vector<int> order;
   for (int i = 0; i < 4; ++i) {
     disk.submit([&order, i] { order.push_back(i); });
@@ -27,7 +28,7 @@ TEST(DiskTest, FcfsOrdering) {
 
 TEST(DiskTest, QueueLengthTracksBacklog) {
   sim::Simulator sim;
-  Disk disk(sim, "d", sim::constant(1.0), sim::Rng(1));
+  Disk disk(sim, "d", 1.0, 0.0, sim::Rng(1));
   for (int i = 0; i < 3; ++i) disk.submit([] {});
   EXPECT_EQ(disk.queue_length(), 3u);
   sim.run_until(1.5);
@@ -38,7 +39,7 @@ TEST(DiskTest, QueueLengthTracksBacklog) {
 
 TEST(DiskTest, BusySecondsAccumulateServiceTime) {
   sim::Simulator sim;
-  Disk disk(sim, "d", sim::constant(0.5), sim::Rng(1));
+  Disk disk(sim, "d", 0.5, 0.0, sim::Rng(1));
   for (int i = 0; i < 4; ++i) disk.submit([] {});
   sim.run();
   EXPECT_NEAR(disk.busy_seconds(), 2.0, 1e-9);
@@ -46,7 +47,7 @@ TEST(DiskTest, BusySecondsAccumulateServiceTime) {
 
 TEST(DiskTest, IdleThenNewWork) {
   sim::Simulator sim;
-  Disk disk(sim, "d", sim::constant(0.1), sim::Rng(1));
+  Disk disk(sim, "d", 0.1, 0.0, sim::Rng(1));
   double t1 = -1, t2 = -1;
   disk.submit([&] { t1 = sim.now(); });
   sim.run();

@@ -153,7 +153,32 @@ TEST(ProfilerTest, TableAndSummaryCarryTheCounts) {
   EXPECT_EQ(line.rfind("profile: " + std::to_string(snap.total_counts()), 0),
             0u)
       << line;
-  EXPECT_NE(line.find("dispatch"), std::string::npos) << line;
+  // The per-event trio only restates the event count, which the line gives
+  // as the dispatch count; the named subsystems lead with the busiest other.
+  const std::uint64_t events = snap.total_counts(prof::Subsystem::kDispatch);
+  EXPECT_NE(line.find(std::to_string(events) + " events"), std::string::npos)
+      << line;
+  for (const char* per_event : {"event_queue_push", "event_queue_pop",
+                                "dispatch"}) {
+    EXPECT_EQ(line.find(per_event), std::string::npos) << line;
+  }
+  prof::Subsystem busiest = prof::Subsystem::kCount;
+  for (std::size_t s = 0; s < prof::kSubsystems; ++s) {
+    const auto sub = static_cast<prof::Subsystem>(s);
+    if (sub == prof::Subsystem::kEventQueuePush ||
+        sub == prof::Subsystem::kEventQueuePop ||
+        sub == prof::Subsystem::kDispatch) {
+      continue;
+    }
+    if (busiest == prof::Subsystem::kCount ||
+        snap.total_counts(sub) > snap.total_counts(busiest)) {
+      busiest = sub;
+    }
+  }
+  ASSERT_GT(snap.total_counts(busiest), 0u);
+  EXPECT_NE(line.find(std::string("; ") + prof::subsystem_name(busiest)),
+            std::string::npos)
+      << line;
   EXPECT_EQ(line.find("cycles"), std::string::npos) << line;
   EXPECT_EQ(line.find("overhead"), std::string::npos) << line;
 }

@@ -119,8 +119,9 @@ TEST(TestbedTest, SamplerRecordsCpuSeries) {
 
 TEST(ElasticLoadTest, ActiveUsersFollowSchedule) {
   TestbedConfig cfg = TestbedConfig::defaults();
-  Testbed bed(cfg, quick_client(1000, 60.0));
-  bed.farm().set_load_schedule({{0.0, 200}, {20.0, 800}, {40.0, 300}});
+  workload::ClientConfig client = quick_client(1000, 60.0);
+  client.load_schedule = {{0.0, 200}, {20.0, 800}, {40.0, 300}};
+  Testbed bed(cfg, client);
   bed.farm().start();
   bed.simulator().run_until(10.0);
   EXPECT_EQ(bed.farm().active_users(), 200u);
@@ -134,8 +135,9 @@ TEST(ElasticLoadTest, ActiveUsersFollowSchedule) {
 
 TEST(ElasticLoadTest, ScheduleStartsWithRun) {
   TestbedConfig cfg = TestbedConfig::defaults();
-  Testbed bed(cfg, quick_client(600, 40.0));
-  bed.farm().set_load_schedule({{0.0, 300}, {20.0, 600}});
+  workload::ClientConfig client = quick_client(600, 40.0);
+  client.load_schedule = {{0.0, 300}, {20.0, 600}};
+  Testbed bed(cfg, client);
   bed.run();
   EXPECT_GT(bed.farm().response_times().count(), 100u);
   EXPECT_EQ(bed.farm().active_users(), 600u);
@@ -151,8 +153,9 @@ TEST(ElasticLoadTest, EmptyScheduleKeepsLegacyBehaviour) {
 TEST(ElasticLoadTest, ThroughputTracksPopulation) {
   // Double the active population below saturation -> ~double throughput.
   TestbedConfig cfg = TestbedConfig::defaults();
-  Testbed bed(cfg, quick_client(1200, 120.0));
-  bed.farm().set_load_schedule({{0.0, 500}, {65.0, 1000}});
+  workload::ClientConfig client = quick_client(1200, 120.0);
+  client.load_schedule = {{0.0, 500}, {65.0, 1000}};
+  Testbed bed(cfg, client);
   bed.run();
   const auto& times = bed.farm().completion_times();
   std::size_t first_half = 0, second_half = 0;

@@ -17,7 +17,12 @@ namespace softres::tier {
 namespace {
 
 // Hand-wired miniature deployment: 1 Apache, 1 Tomcat, 1 C-JDBC, 1 MySQL.
+// The test owns every request it makes; none is released, so each stays in
+// the arena until the rig is torn down.
 struct Rig {
+  // Declared first so it is destroyed last, as in exp::RunContext: the
+  // engine and the servers go while requests are still parked in them.
+  RequestArena arena;
   sim::Simulator sim;
   hw::NodeSpec spec;
   std::unique_ptr<hw::Node> web_node, app_node, cm_node, db_node;
@@ -27,7 +32,6 @@ struct Rig {
   std::unique_ptr<TomcatServer> tomcat;
   std::unique_ptr<ApacheServer> apache;
   double client_load = 0.0;
-  RequestArena* arena = nullptr;  // requests come from here when set
 
   explicit Rig(std::size_t apache_threads = 10, std::size_t tomcat_threads = 4,
                std::size_t conns = 4) {
@@ -58,8 +62,8 @@ struct Rig {
     apache->add_tomcat(*tomcat);
   }
 
-  RequestPtr make_dynamic(int queries = 2) {
-    auto req = make_request(arena);
+  Request* make_dynamic(int queries = 2) {
+    Request* req = arena.acquire();
     req->kind = RequestKind::kDynamic;
     req->num_queries = queries;
     req->apache_demand_s = 0.0002;
@@ -70,8 +74,8 @@ struct Rig {
     return req;
   }
 
-  RequestPtr make_static() {
-    auto req = make_request(arena);
+  Request* make_static() {
+    Request* req = arena.acquire();
     req->kind = RequestKind::kStatic;
     req->num_queries = 0;
     req->apache_demand_s = 0.0001;
@@ -177,9 +181,9 @@ TEST(TierTest, FinWaitHoldsWorkerAfterResponse) {
 
 TEST(TierTest, MySqlDiskHitAddsLatency) {
   Rig rig;
-  auto no_disk = rig.make_dynamic(1);
+  Request* no_disk = rig.make_dynamic(1);
   no_disk->mysql_disk_prob = 0.0;
-  auto with_disk = rig.make_dynamic(1);
+  Request* with_disk = rig.make_dynamic(1);
   with_disk->mysql_disk_prob = 1.0;
   double rt_no = -1, rt_disk = -1;
   double t0 = rig.sim.now();
@@ -244,34 +248,32 @@ TEST(TierTest, RoundRobinAcrossTomcats) {
 TEST(RequestArenaTest, CarvingPastAChunkKeepsEarlierRequestsInPlace) {
   RequestArena arena;
   const std::size_t n = 3 * RequestArena::kChunk + 5;
-  std::vector<RequestPtr> held;
-  std::vector<Request*> addrs;
+  std::vector<Request*> held;
   for (std::size_t i = 0; i < n; ++i) {
     held.push_back(arena.acquire());
     held.back()->id = i;
-    addrs.push_back(held.back().get());
   }
   EXPECT_EQ(arena.allocated(), n);
   EXPECT_EQ(arena.free_count(), 0u);
   // Reads through the addresses taken before later chunks were carved: a
   // slab that relocated its requests would fail here (and under ASan, trap).
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(addrs[i]->id, i);
-  EXPECT_EQ(std::set<Request*>(addrs.begin(), addrs.end()).size(), n);
-  held.clear();
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(held[i]->id, i);
+  EXPECT_EQ(std::set<Request*>(held.begin(), held.end()).size(), n);
+  for (Request* r : held) arena.release(r);
   EXPECT_EQ(arena.free_count(), n);
   EXPECT_EQ(arena.allocated(), n);
 }
 
 TEST(RequestArenaTest, AllocatedCountsCarvedRequestsNotAcquires) {
   RequestArena arena;
-  {
-    RequestPtr a = arena.acquire();
-    RequestPtr b = arena.acquire();
-    EXPECT_EQ(arena.allocated(), 2u);
-  }
+  Request* a = arena.acquire();
+  Request* b = arena.acquire();
+  EXPECT_EQ(arena.allocated(), 2u);
+  arena.release(a);
+  arena.release(b);
   EXPECT_EQ(arena.free_count(), 2u);
   for (int i = 0; i < 10; ++i) {
-    RequestPtr again = arena.acquire();  // recycled, not carved
+    arena.release(arena.acquire());  // recycled, not carved
     EXPECT_EQ(arena.allocated(), 2u);
   }
   EXPECT_EQ(arena.free_count(), 2u);
@@ -279,24 +281,21 @@ TEST(RequestArenaTest, AllocatedCountsCarvedRequestsNotAcquires) {
 
 TEST(RequestArenaTest, RecyclesLastInFirstOutAndResetsState) {
   RequestArena arena;
-  RequestPtr a = arena.acquire();
-  RequestPtr b = arena.acquire();
-  RequestPtr c = arena.acquire();
-  Request* pa = a.get();
-  Request* pb = b.get();
-  Request* pc = c.get();
+  Request* a = arena.acquire();
+  Request* b = arena.acquire();
+  Request* c = arena.acquire();
   b->id = 7;
   b->num_queries = 3;
   b->enable_trace();
-  a.reset();
-  c.reset();
-  b.reset();  // freelist, oldest first: a, c, b
-  RequestPtr x = arena.acquire();
-  RequestPtr y = arena.acquire();
-  RequestPtr z = arena.acquire();
-  EXPECT_EQ(x.get(), pb);
-  EXPECT_EQ(y.get(), pc);
-  EXPECT_EQ(z.get(), pa);
+  arena.release(a);
+  arena.release(c);
+  arena.release(b);  // freelist, oldest first: a, c, b
+  Request* x = arena.acquire();
+  Request* y = arena.acquire();
+  Request* z = arena.acquire();
+  EXPECT_EQ(x, b);
+  EXPECT_EQ(y, c);
+  EXPECT_EQ(z, a);
   EXPECT_EQ(x->id, 0u);
   EXPECT_EQ(x->num_queries, 0);
   EXPECT_FALSE(x->traced());
@@ -306,18 +305,15 @@ TEST(RequestArenaTest, RecyclesLastInFirstOutAndResetsState) {
 // A trial that stops at its horizon tears down with requests parked in every
 // tier: waiting for an Apache worker, waiting for a Tomcat DB connection and
 // queued at MySQL's disk. Destroying the engine and the servers, then the
-// arena, must break the requests' keep-alive cycles and free what they hold.
+// arena, must free what the requests hold without touching the dead pools.
 // The ASan+UBSan build checks the memory side; the token checks that every
 // parked `responded` callback was destroyed rather than leaked.
 TEST(RequestArenaTest, HorizonTeardownWithRequestsParkedInEveryTier) {
   const auto token = std::make_shared<int>(0);
-  // Outlives the rig, as the arena outlives the engine in exp::RunContext.
-  auto arena = std::make_unique<RequestArena>();
   {
     Rig rig(/*apache_threads=*/4, /*tomcat_threads=*/3, /*conns=*/2);
-    rig.arena = arena.get();
     for (int i = 0; i < 10; ++i) {
-      RequestPtr req = rig.make_dynamic(2);
+      Request* req = rig.make_dynamic(2);
       req->mysql_disk_prob = 1.0;
       if (i % 2 == 0) req->enable_trace();
       rig.apache->handle(req, [token] { ++*token; });
@@ -330,12 +326,10 @@ TEST(RequestArenaTest, HorizonTeardownWithRequestsParkedInEveryTier) {
     EXPECT_GT(rig.tomcat->thread_pool().waiting(), 0u);
     EXPECT_GT(rig.tomcat->connection_pool().waiting(), 0u);
     EXPECT_EQ(*token, 0);  // nothing has responded yet
+    EXPECT_EQ(rig.arena.allocated(), 10u);
+    EXPECT_EQ(rig.arena.free_count(), 0u);
+    EXPECT_EQ(token.use_count(), 11);  // one per parked `responded`
   }
-  // The rig is gone; the parked requests still own themselves.
-  EXPECT_EQ(arena->allocated(), 10u);
-  EXPECT_EQ(arena->free_count(), 0u);
-  EXPECT_GT(token.use_count(), 1);
-  arena.reset();
   EXPECT_EQ(token.use_count(), 1);
 }
 
